@@ -28,7 +28,8 @@ double log2_topology_count(int depth);
 std::uint64_t tree_loop_nodes(int depth);
 
 // log2 of our protocol's per-wire alphabet |I| for a given degree bound
-// (the Character struct of proto/alphabet.hpp, counted lane by lane).
+// (the Character of proto/alphabet.hpp, counted lane by lane: each lane's
+// values plus "absent", i.e. its presence bit in Character::lanes clear).
 double log2_alphabet_size(Port delta);
 
 // Transcript capacity per tick in bits: delta * log2 |I| (Lemma 5.2).

@@ -41,6 +41,17 @@ const char* to_cstr(SnakePart p) {
   return "?";
 }
 
+bool Character::operator==(const Character& o) const {
+  if (lanes != o.lanes) return false;
+  for (int i = 0; i < kNumSnakeKinds; ++i) {
+    if (has_grow(i) && !(grow_[i] == o.grow_[i])) return false;
+    if (has_die(i) && !(die_[i] == o.die_[i])) return false;
+  }
+  return (!has_rloop() || rloop_ == o.rloop_) &&
+         (!has_bloop() || bloop_ == o.bloop_) &&
+         (!has_dfs() || dfs_ == o.dfs_);
+}
+
 std::string to_string(const SnakeChar& c) {
   std::ostringstream os;
   os << to_cstr(c.part);
@@ -53,51 +64,51 @@ std::string to_string(const Character& c) {
   std::ostringstream os;
   bool any = false;
   for (int i = 0; i < kNumSnakeKinds; ++i) {
-    if (c.grow[i]) {
-      os << (any ? " " : "") << to_cstr(grow_kind(i)) << to_string(*c.grow[i]);
+    if (c.has_grow(i)) {
+      os << (any ? " " : "") << to_cstr(grow_kind(i)) << to_string(c.grow(i));
       any = true;
     }
   }
   for (int i = 0; i < kNumSnakeKinds; ++i) {
-    if (c.die[i]) {
-      os << (any ? " " : "") << to_cstr(die_kind(i)) << to_string(*c.die[i]);
+    if (c.has_die(i)) {
+      os << (any ? " " : "") << to_cstr(die_kind(i)) << to_string(c.die(i));
       any = true;
     }
   }
-  if (c.kill) {
+  if (c.kill()) {
     os << (any ? " " : "") << "KILL";
     any = true;
   }
-  if (c.bkill) {
+  if (c.bkill()) {
     os << (any ? " " : "") << "BKILL";
     any = true;
   }
-  if (c.rloop) {
+  if (c.has_rloop()) {
     os << (any ? " " : "");
-    switch (c.rloop->kind) {
+    switch (c.rloop().kind) {
       case RcaToken::Kind::kForward:
-        os << "FWD(" << port_str(c.rloop->out) << "," << port_str(c.rloop->in)
-           << ")";
+        os << "FWD(" << port_str(c.rloop().out) << ","
+           << port_str(c.rloop().in) << ")";
         break;
       case RcaToken::Kind::kBack: os << "BACK"; break;
       case RcaToken::Kind::kUnmark: os << "UNMARK"; break;
     }
     any = true;
   }
-  if (c.bloop) {
+  if (c.has_bloop()) {
     os << (any ? " " : "");
-    switch (c.bloop->kind) {
+    switch (c.bloop().kind) {
       case BcaToken::Kind::kData:
-        os << "DATA(" << static_cast<int>(c.bloop->payload) << ")";
+        os << "DATA(" << static_cast<int>(c.bloop().payload) << ")";
         break;
       case BcaToken::Kind::kAck: os << "ACK"; break;
       case BcaToken::Kind::kBUnmark: os << "BUNMARK"; break;
     }
     any = true;
   }
-  if (c.dfs) {
-    os << (any ? " " : "") << "DFS(" << port_str(c.dfs->last_out) << ","
-       << port_str(c.dfs->last_in) << ")";
+  if (c.has_dfs()) {
+    os << (any ? " " : "") << "DFS(" << port_str(c.dfs().last_out) << ","
+       << port_str(c.dfs().last_in) << ")";
     any = true;
   }
   if (!any) os << "blank";

@@ -16,10 +16,16 @@
 //   rloop            RCA loop tokens: FORWARD(i,j), BACK, UNMARK.
 //   bloop            BCA loop tokens: DATA(m), ACK, BUNMARK.
 //   dfs              the DFS token: (last out-port, last in-port).
+//
+// Which lanes a character carries is one 11-bit presence mask,
+// `Character::lanes` (bits below). The mask is the whole truth: a lane's
+// field is meaningful only while its bit is set, `blank()` is one compare,
+// equality and the trace codec read present lanes only, and the machine
+// ORs its inputs' masks once per tick to call only the lane handlers with
+// work (gtd_machine.cpp).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <type_traits>
 
 #include "graph/port_graph.hpp"
@@ -82,28 +88,90 @@ struct DfsToken {
   bool operator==(const DfsToken&) const = default;
 };
 
-struct Character {
-  std::optional<SnakeChar> grow[kNumSnakeKinds];
-  std::optional<SnakeChar> die[kNumSnakeKinds];
-  bool kill = false;
-  bool bkill = false;
-  std::optional<RcaToken> rloop;
-  std::optional<BcaToken> bloop;
-  std::optional<DfsToken> dfs;
+// Presence bits of Character::lanes, low to high. The DTR character codec
+// writes the mask verbatim as its lane bitmap (docs/TRACE_FORMAT.md), so
+// these values are part of the trace format.
+inline constexpr std::uint16_t kLaneGrow0 = 1u << 0;  // grow(0..2): bits 0..2
+inline constexpr std::uint16_t kLaneDie0 = 1u << 3;   // die(0..2): bits 3..5
+inline constexpr std::uint16_t kLaneKill = 1u << 6;
+inline constexpr std::uint16_t kLaneBkill = 1u << 7;
+inline constexpr std::uint16_t kLaneRloop = 1u << 8;
+inline constexpr std::uint16_t kLaneBloop = 1u << 9;
+inline constexpr std::uint16_t kLaneDfs = 1u << 10;
+inline constexpr int kNumLaneBits = 11;
+inline constexpr std::uint16_t kLaneGrowAll = 7u * kLaneGrow0;
+inline constexpr std::uint16_t kLaneDieAll = 7u * kLaneDie0;
 
-  bool blank() const {
-    for (const auto& g : grow)
-      if (g) return false;
-    for (const auto& d : die)
-      if (d) return false;
-    return !kill && !bkill && !rloop && !bloop && !dfs;
+class Character {
+ public:
+  // Presence mask over the lanes above. Written by the setters; a lane's
+  // field is read only while its bit is set.
+  std::uint16_t lanes = 0;
+
+  bool blank() const { return lanes == 0; }
+
+  bool has_grow(int i) const { return lanes & (kLaneGrow0 << i); }
+  const SnakeChar& grow(int i) const { return grow_[i]; }
+  void set_grow(int i, const SnakeChar& c) {
+    grow_[i] = c;
+    lanes |= static_cast<std::uint16_t>(kLaneGrow0 << i);
   }
 
-  bool operator==(const Character&) const = default;
+  bool has_die(int i) const { return lanes & (kLaneDie0 << i); }
+  const SnakeChar& die(int i) const { return die_[i]; }
+  void set_die(int i, const SnakeChar& c) {
+    die_[i] = c;
+    lanes |= static_cast<std::uint16_t>(kLaneDie0 << i);
+  }
+
+  bool kill() const { return lanes & kLaneKill; }
+  void set_kill(bool on) { set_flag(kLaneKill, on); }
+  bool bkill() const { return lanes & kLaneBkill; }
+  void set_bkill(bool on) { set_flag(kLaneBkill, on); }
+
+  bool has_rloop() const { return lanes & kLaneRloop; }
+  const RcaToken& rloop() const { return rloop_; }
+  void set_rloop(const RcaToken& t) {
+    rloop_ = t;
+    lanes |= kLaneRloop;
+  }
+
+  bool has_bloop() const { return lanes & kLaneBloop; }
+  const BcaToken& bloop() const { return bloop_; }
+  void set_bloop(const BcaToken& t) {
+    bloop_ = t;
+    lanes |= kLaneBloop;
+  }
+
+  bool has_dfs() const { return lanes & kLaneDfs; }
+  const DfsToken& dfs() const { return dfs_; }
+  void set_dfs(const DfsToken& t) {
+    dfs_ = t;
+    lanes |= kLaneDfs;
+  }
+
+  // Equal masks and equal present lanes; bytes of absent lanes are ignored.
+  bool operator==(const Character& o) const;
+
+ private:
+  void set_flag(std::uint16_t bit, bool on) {
+    lanes = static_cast<std::uint16_t>(on ? lanes | bit : lanes & ~bit);
+  }
+
+  // Absent lanes hold zero bytes, so a blank character is all zeros and
+  // the engine's blank-on-first-use `Message{}` is a plain zero store.
+  static constexpr SnakeChar kZeroSnake{SnakePart::kHead, 0, 0};
+  SnakeChar grow_[kNumSnakeKinds] = {kZeroSnake, kZeroSnake, kZeroSnake};
+  SnakeChar die_[kNumSnakeKinds] = {kZeroSnake, kZeroSnake, kZeroSnake};
+  RcaToken rloop_{RcaToken::Kind::kForward, 0, 0};
+  BcaToken bloop_{BcaToken::Kind::kData, 0};
+  DfsToken dfs_{0, 0};
 };
 
 static_assert(std::is_trivially_copyable_v<Character>,
               "wire characters must be constant-size PODs");
+static_assert(sizeof(Character) <= 28,
+              "a blank-on-first-use store is one 28-byte write");
 
 // Speed configuration (paper Section 2.1). A construct read at tick t is
 // re-emitted during tick t+delay; the hop latency is therefore delay+1

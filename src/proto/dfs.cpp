@@ -23,8 +23,8 @@ void GtdMachine::dfs_start_root(Ctx& ctx) {
 void GtdMachine::handle_dfs(Ctx& ctx) {
   for (Port p = 0; p < env_.delta; ++p) {
     const Character* in = ctx.input(p);
-    if (!in || !in->dfs) continue;
-    DfsToken tok = *in->dfs;
+    if (!in || !in->has_dfs()) continue;
+    DfsToken tok = in->dfs();
     if (tok.last_in == kStarPort) tok.last_in = p;
     dfs_on_token(ctx, tok, p);
   }

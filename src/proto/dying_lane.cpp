@@ -20,13 +20,14 @@ Port GtdMachine::die_succ(DieKind kind) const {
   unreachable("die_succ");
 }
 
-void GtdMachine::handle_die(Ctx& ctx) {
+void GtdMachine::handle_die(Ctx& ctx, std::uint16_t lanes) {
   for (int i = 0; i < kNumSnakeKinds; ++i) {
+    if (!(lanes & (kLaneDie0 << i))) continue;
     const DieKind kind = die_kind(i);
     for (Port p = 0; p < env_.delta; ++p) {
       const Character* in = ctx.input(p);
-      if (!in || !in->die[i]) continue;
-      const SnakeChar c = *in->die[i];
+      if (!in || !in->has_die(i)) continue;
+      const SnakeChar c = in->die(i);
       DTOP_CHECK(c.part == SnakePart::kTail || c.in != kStarPort,
                  "dying characters carry resolved labels");
       handle_die_char(ctx, kind, c, p);

@@ -19,14 +19,15 @@
 
 namespace dtop {
 
-void GtdMachine::handle_grow(Ctx& ctx) {
+void GtdMachine::handle_grow(Ctx& ctx, std::uint16_t lanes) {
   for (int i = 0; i < kNumSnakeKinds; ++i) {
+    if (!(lanes & (kLaneGrow0 << i))) continue;
+    if (grow_killed_now_ & (1u << i)) continue;  // erased by a KILL this pulse
     const GrowKind kind = grow_kind(i);
-    if (grow_killed_now_[i]) continue;  // erased by a KILL this pulse
     for (Port p = 0; p < env_.delta; ++p) {
       const Character* in = ctx.input(p);
-      if (!in || !in->grow[i]) continue;
-      SnakeChar c = *in->grow[i];
+      if (!in || !in->has_grow(i)) continue;
+      SnakeChar c = in->grow(i);
       if (c.in == kStarPort) c.in = p;  // resolve the '*' placeholder
       handle_grow_char(ctx, kind, c, p);
     }

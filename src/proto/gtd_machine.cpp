@@ -11,27 +11,28 @@ GtdMachine::GtdMachine(const MachineEnv& env, const Config& cfg)
 }
 
 void GtdMachine::step(Ctx& ctx) {
-  for (bool& k : grow_killed_now_) k = false;
+  grow_killed_now_ = 0;
 
   // Initiation: the root is nudged out of quiescence by its master computer
   // (delivered as an engine schedule, not a wire character).
   if (env_.is_root && !st_.dfs.started) dfs_start_root(ctx);
 
-  // Lane order within the tick: cleanup first (a KILL contact erases
-  // characters arriving in the same pulse), then snakes, then tokens, then
-  // the DFS driver; finally all emissions staged for this tick depart.
-  handle_kill(ctx);
-  handle_grow(ctx);
-  handle_die(ctx);
-  handle_rloop(ctx);
-  handle_bloop(ctx);
-  handle_dfs(ctx);
-  emit_pending(ctx);
-}
-
-bool GtdMachine::idle() const {
-  return st_.outq.empty() && !st_.kill_out && !st_.bkill_out &&
-         !st_.rtok.present && !st_.btok.present && !st_.dfs_out.present;
+  // Lane-skip dispatch: every handler below is driven by its own input
+  // lanes, so the inputs' presence masks are ORed once and only handlers
+  // with work are called. Lane order within the tick: cleanup first (a KILL
+  // contact erases characters arriving in the same pulse), then snakes,
+  // then tokens, then the DFS driver; finally all emissions staged for this
+  // tick depart.
+  std::uint16_t lanes = 0;
+  for (Port p = 0; p < env_.delta; ++p)
+    if (const Character* in = ctx.input(p)) lanes |= in->lanes;
+  if (lanes & (kLaneKill | kLaneBkill)) handle_kill(ctx, lanes);
+  if (lanes & kLaneGrowAll) handle_grow(ctx, lanes);
+  if (lanes & kLaneDieAll) handle_die(ctx, lanes);
+  if (lanes & kLaneRloop) handle_rloop(ctx);
+  if (lanes & kLaneBloop) handle_bloop(ctx);
+  if (lanes & kLaneDfs) handle_dfs(ctx);
+  if (!idle()) emit_pending(ctx);
 }
 
 bool GtdMachine::pristine() const {
@@ -54,7 +55,8 @@ void GtdMachine::enqueue_snake(SnakeLane lane, const SnakeChar& ch, Route route,
   for (std::size_t i = st_.outq.size(); i > 0; --i) {
     const PendingSnake& prev = st_.outq[i - 1];
     if (prev.lane == lane) {
-      DTOP_CHECK(prev.delay <= delay, "snake lane FIFO violation");
+      const int prev_delay = static_cast<std::uint8_t>(prev.due - st_.clock);
+      DTOP_CHECK(prev_delay <= delay, "snake lane FIFO violation");
       break;
     }
   }
@@ -63,7 +65,7 @@ void GtdMachine::enqueue_snake(SnakeLane lane, const SnakeChar& ch, Route route,
   ps.ch = ch;
   ps.route = route;
   ps.port = port;
-  ps.delay = static_cast<std::uint8_t>(delay);
+  ps.due = static_cast<std::uint8_t>(st_.clock + delay);
   st_.outq.push_back(ps);
 }
 
@@ -71,13 +73,13 @@ void GtdMachine::write_snake(Ctx& ctx, Port port, SnakeLane lane,
                              const SnakeChar& ch) {
   Character& m = ctx.out(port);
   if (is_grow_lane(lane)) {
-    auto& slot = m.grow[index_of(grow_of(lane))];
-    DTOP_CHECK(!slot, "grow-lane wire collision");
-    slot = ch;
+    const int i = index_of(grow_of(lane));
+    DTOP_CHECK(!m.has_grow(i), "grow-lane wire collision");
+    m.set_grow(i, ch);
   } else {
-    auto& slot = m.die[index_of(die_of(lane))];
-    DTOP_CHECK(!slot, "die-lane wire collision");
-    slot = ch;
+    const int i = index_of(die_of(lane));
+    DTOP_CHECK(!m.has_die(i), "die-lane wire collision");
+    m.set_die(i, ch);
   }
 }
 
@@ -100,32 +102,34 @@ void GtdMachine::emit_snake(Ctx& ctx, const PendingSnake& ps) {
 }
 
 void GtdMachine::emit_pending(Ctx& ctx) {
-  // Emit due snake characters in queue order; keep the rest, aging them.
+  // Emit due snake characters in queue order; the rest stay where they are
+  // (only compacted past emitted entries) until the clock reaches them.
   std::size_t w = 0;
   for (std::size_t r = 0; r < st_.outq.size(); ++r) {
-    PendingSnake ps = st_.outq[r];
-    if (ps.delay == 0) {
+    const PendingSnake& ps = st_.outq[r];
+    if (ps.due == st_.clock) {
       emit_snake(ctx, ps);
     } else {
-      --ps.delay;
-      st_.outq[w++] = ps;
+      if (w != r) st_.outq[w] = ps;
+      ++w;
     }
   }
-  while (st_.outq.size() > w) st_.outq.pop_back();
+  st_.outq.truncate(w);
+  ++st_.clock;
 
   if (st_.kill_out) {
-    for_each_out_port([&](Port p) { ctx.out(p).kill = true; });
+    for_each_out_port([&](Port p) { ctx.out(p).set_kill(true); });
     st_.kill_out = false;
   }
   if (st_.bkill_out) {
-    for_each_out_port([&](Port p) { ctx.out(p).bkill = true; });
+    for_each_out_port([&](Port p) { ctx.out(p).set_bkill(true); });
     st_.bkill_out = false;
   }
   if (st_.rtok.present) {
     if (st_.rtok.delay == 0) {
       Character& m = ctx.out(st_.rtok.port);
-      DTOP_CHECK(!m.rloop, "rloop wire collision");
-      m.rloop = st_.rtok.tok;
+      DTOP_CHECK(!m.has_rloop(), "rloop wire collision");
+      m.set_rloop(st_.rtok.tok);
       st_.rtok = PendingRcaToken{};
     } else {
       --st_.rtok.delay;
@@ -134,8 +138,8 @@ void GtdMachine::emit_pending(Ctx& ctx) {
   if (st_.btok.present) {
     if (st_.btok.delay == 0) {
       Character& m = ctx.out(st_.btok.port);
-      DTOP_CHECK(!m.bloop, "bloop wire collision");
-      m.bloop = st_.btok.tok;
+      DTOP_CHECK(!m.has_bloop(), "bloop wire collision");
+      m.set_bloop(st_.btok.tok);
       st_.btok = PendingBcaToken{};
     } else {
       --st_.btok.delay;
@@ -144,8 +148,8 @@ void GtdMachine::emit_pending(Ctx& ctx) {
   if (st_.dfs_out.present) {
     if (st_.dfs_out.delay == 0) {
       Character& m = ctx.out(st_.dfs_out.port);
-      DTOP_CHECK(!m.dfs, "dfs wire collision");
-      m.dfs = st_.dfs_out.tok;
+      DTOP_CHECK(!m.has_dfs(), "dfs wire collision");
+      m.set_dfs(st_.dfs_out.tok);
       st_.dfs_out = PendingDfs{};
     } else {
       --st_.dfs_out.delay;

@@ -41,7 +41,10 @@ class GtdMachine {
   void step(Ctx& ctx);
 
   // Engine contract: stepping an idle machine on blank inputs is a no-op.
-  bool idle() const;
+  bool idle() const {
+    return st_.outq.empty() && !st_.kill_out && !st_.bkill_out &&
+           !st_.rtok.present && !st_.btok.present && !st_.dfs_out.present;
+  }
   bool terminated() const { return st_.terminated; }
 
   // Audit interface (tests and benches; not part of the protocol).
@@ -54,19 +57,19 @@ class GtdMachine {
 
  private:
   // --- kill_lane.cpp
-  void handle_kill(Ctx& ctx);
+  void handle_kill(Ctx& ctx, std::uint16_t lanes);
   void erase_grow_state(Ctx& ctx, bool bca_lane);
   bool has_grow_state(Ctx& ctx, bool bca_lane) const;
 
   // --- grow_lane.cpp
-  void handle_grow(Ctx& ctx);
+  void handle_grow(Ctx& ctx, std::uint16_t lanes);
   void handle_grow_char(Ctx& ctx, GrowKind kind, SnakeChar c, Port p);
   void forward_grow_char(GrowKind kind, const SnakeChar& c);
   void flood_baby_snake(GrowKind kind);
   void converter_consume(Ctx& ctx, StreamConverter& conv, const SnakeChar& c);
 
   // --- dying_lane.cpp
-  void handle_die(Ctx& ctx);
+  void handle_die(Ctx& ctx, std::uint16_t lanes);
   void handle_die_char(Ctx& ctx, DieKind kind, const SnakeChar& c, Port p);
   Port die_succ(DieKind kind) const;
 
@@ -115,9 +118,9 @@ class GtdMachine {
   MachineEnv env_;
   Config cfg_;
   GtdState st_;
-  // Per-tick scratch: growing kinds whose incoming characters were erased by
-  // a KILL contact this very tick.
-  bool grow_killed_now_[kNumSnakeKinds] = {};
+  // Per-tick scratch: bit i set when growing kind i's incoming characters
+  // were erased by a KILL contact this very tick.
+  std::uint8_t grow_killed_now_ = 0;
 };
 
 }  // namespace dtop

@@ -27,7 +27,7 @@ bool GtdMachine::has_grow_state(Ctx& ctx, bool bca_lane) const {
     if (st_.grow[i].visited) return true;
     for (Port p = 0; p < env_.delta; ++p) {
       const Character* in = ctx.input(p);
-      if (in && in->grow[i]) return true;
+      if (in && in->has_grow(i)) return true;
     }
   }
   for (std::size_t i = 0; i < st_.outq.size(); ++i) {
@@ -48,7 +48,7 @@ void GtdMachine::erase_grow_state(Ctx& ctx, bool bca_lane) {
                "timing guarantee (Lemma 4.2) is violated in this "
                "configuration");
     st_.grow[i] = GrowMarks{};
-    grow_killed_now_[i] = true;
+    grow_killed_now_ |= static_cast<std::uint8_t>(1u << i);
   }
   std::size_t w = 0;
   for (std::size_t r = 0; r < st_.outq.size(); ++r) {
@@ -56,24 +56,17 @@ void GtdMachine::erase_grow_state(Ctx& ctx, bool bca_lane) {
     const bool drop = is_grow_lane(ps.lane) && lane_is(grow_of(ps.lane), bca_lane);
     if (!drop) st_.outq[w++] = ps;
   }
-  while (st_.outq.size() > w) st_.outq.pop_back();
+  st_.outq.truncate(w);
   if (cfg_.observer)
     cfg_.observer->on_grow_erased(env_.debug_id, ctx.now(), bca_lane);
 }
 
-void GtdMachine::handle_kill(Ctx& ctx) {
-  bool kill_seen = false, bkill_seen = false;
-  for (Port p = 0; p < env_.delta; ++p) {
-    const Character* in = ctx.input(p);
-    if (!in) continue;
-    kill_seen = kill_seen || in->kill;
-    bkill_seen = bkill_seen || in->bkill;
-  }
-  if (kill_seen && has_grow_state(ctx, /*bca_lane=*/false)) {
+void GtdMachine::handle_kill(Ctx& ctx, std::uint16_t lanes) {
+  if ((lanes & kLaneKill) && has_grow_state(ctx, /*bca_lane=*/false)) {
     erase_grow_state(ctx, false);
     st_.kill_out = true;
   }
-  if (bkill_seen && has_grow_state(ctx, /*bca_lane=*/true)) {
+  if ((lanes & kLaneBkill) && has_grow_state(ctx, /*bca_lane=*/true)) {
     erase_grow_state(ctx, true);
     st_.bkill_out = true;
   }

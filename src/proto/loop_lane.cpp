@@ -12,8 +12,8 @@ namespace dtop {
 void GtdMachine::handle_rloop(Ctx& ctx) {
   for (Port p = 0; p < env_.delta; ++p) {
     const Character* in = ctx.input(p);
-    if (!in || !in->rloop) continue;
-    const RcaToken tok = *in->rloop;
+    if (!in || !in->has_rloop()) continue;
+    const RcaToken tok = in->rloop();
 
     // RCA initiator absorptions.
     if (st_.rca_phase == RcaPhase::kWaitToken &&
@@ -90,8 +90,8 @@ void GtdMachine::handle_rloop(Ctx& ctx) {
 void GtdMachine::handle_bloop(Ctx& ctx) {
   for (Port p = 0; p < env_.delta; ++p) {
     const Character* in = ctx.input(p);
-    if (!in || !in->bloop) continue;
-    const BcaToken tok = *in->bloop;
+    if (!in || !in->has_bloop()) continue;
+    const BcaToken tok = in->bloop();
 
     // Target: consume the DATA payload, relay as ACK. (Checked before the
     // creator cases so the self-loop works: B-as-target sees DATA first.)

@@ -4,29 +4,6 @@
 
 namespace dtop {
 
-bool is_grow_lane(SnakeLane lane) {
-  return lane == SnakeLane::kIG || lane == SnakeLane::kOG ||
-         lane == SnakeLane::kBG;
-}
-
-GrowKind grow_of(SnakeLane lane) {
-  DTOP_CHECK(is_grow_lane(lane), "not a grow lane");
-  return static_cast<GrowKind>(lane);
-}
-
-DieKind die_of(SnakeLane lane) {
-  DTOP_CHECK(!is_grow_lane(lane), "not a die lane");
-  return static_cast<DieKind>(static_cast<int>(lane) -
-                              static_cast<int>(SnakeLane::kID));
-}
-
-SnakeLane lane_of(GrowKind k) { return static_cast<SnakeLane>(k); }
-
-SnakeLane lane_of(DieKind k) {
-  return static_cast<SnakeLane>(static_cast<int>(SnakeLane::kID) +
-                                static_cast<int>(k));
-}
-
 const char* to_cstr(RcaPhase p) {
   switch (p) {
     case RcaPhase::kIdle: return "idle";

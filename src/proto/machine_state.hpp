@@ -81,14 +81,32 @@ struct PendingSnake {
   SnakeChar ch{};
   Route route{};
   Port port = kNoPort;
-  std::uint8_t delay = 0;  // emit when 0 (during the current tick)
+  std::uint8_t due = 0;  // emit during the tick GtdState::clock equals this
 };
 
-bool is_grow_lane(SnakeLane lane);
-GrowKind grow_of(SnakeLane lane);
-DieKind die_of(SnakeLane lane);
-SnakeLane lane_of(GrowKind k);
-SnakeLane lane_of(DieKind k);
+// Lane helpers, inline so write_snake's lane dispatch folds at compile time.
+inline bool is_grow_lane(SnakeLane lane) {
+  return lane == SnakeLane::kIG || lane == SnakeLane::kOG ||
+         lane == SnakeLane::kBG;
+}
+
+inline GrowKind grow_of(SnakeLane lane) {
+  DTOP_CHECK(is_grow_lane(lane), "not a grow lane");
+  return static_cast<GrowKind>(lane);
+}
+
+inline DieKind die_of(SnakeLane lane) {
+  DTOP_CHECK(!is_grow_lane(lane), "not a die lane");
+  return static_cast<DieKind>(static_cast<int>(lane) -
+                              static_cast<int>(SnakeLane::kID));
+}
+
+inline SnakeLane lane_of(GrowKind k) { return static_cast<SnakeLane>(k); }
+
+inline SnakeLane lane_of(DieKind k) {
+  return static_cast<SnakeLane>(static_cast<int>(SnakeLane::kID) +
+                                static_cast<int>(k));
+}
 
 // Pending single-slot emissions.
 struct PendingRcaToken {
@@ -186,6 +204,10 @@ struct GtdState {
   StreamConverter conv_die;   // consumes a dying stream
 
   FixedVector<PendingSnake, 24> outq;
+  // Emission clock, mod 256: advances once per emission pass. A machine with
+  // anything queued is stepped every tick, so `due - clock` is an entry's
+  // remaining delay and queued entries are never rewritten to age them.
+  std::uint8_t clock = 0;
   bool kill_out = false;
   bool bkill_out = false;
   PendingRcaToken rtok;

@@ -90,13 +90,13 @@ Character rogue_character(FaultScenario::Kind kind) {
   Character c;
   switch (kind) {
     case FaultScenario::Kind::kKill:
-      c.kill = true;
+      c.set_kill(true);
       break;
     case FaultScenario::Kind::kUnmark:
-      c.rloop = RcaToken{RcaToken::Kind::kUnmark, kNoPort, kNoPort};
+      c.set_rloop(RcaToken{RcaToken::Kind::kUnmark, kNoPort, kNoPort});
       break;
     case FaultScenario::Kind::kDfs:
-      c.dfs = DfsToken{0, kStarPort};
+      c.set_dfs(DfsToken{0, kStarPort});
       break;
     default:
       unreachable("rogue_character: not an injection scenario");

@@ -45,6 +45,12 @@ class FixedVector {
 
   void clear() { size_ = 0; }
 
+  // Drops every element from index n on.
+  void truncate(std::size_t n) {
+    DTOP_CHECK(n <= size_, "FixedVector truncate past the end");
+    size_ = n;
+  }
+
   T& operator[](std::size_t i) {
     DTOP_CHECK(i < size_, "FixedVector index out of range");
     return items_[i];

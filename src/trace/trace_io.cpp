@@ -10,17 +10,6 @@
 namespace dtop::trace {
 namespace {
 
-// Character presence-bitmap bits, low to high.
-enum : std::uint32_t {
-  kBitGrow0 = 1u << 0,  // grow[0..2] at bits 0..2
-  kBitDie0 = 1u << 3,   // die[0..2] at bits 3..5
-  kBitKill = 1u << 6,
-  kBitBkill = 1u << 7,
-  kBitRloop = 1u << 8,
-  kBitBloop = 1u << 9,
-  kBitDfs = 1u << 10,
-};
-
 void put_u8(std::ostream& os, std::uint8_t b) {
   os.put(static_cast<char>(b));
 }
@@ -84,49 +73,40 @@ std::uint64_t read_varint(std::istream& is) {
 }
 
 void write_character(std::ostream& os, const Character& c) {
-  std::uint32_t bits = 0;
-  for (int i = 0; i < kNumSnakeKinds; ++i) {
-    if (c.grow[i]) bits |= kBitGrow0 << i;
-    if (c.die[i]) bits |= kBitDie0 << i;
-  }
-  if (c.kill) bits |= kBitKill;
-  if (c.bkill) bits |= kBitBkill;
-  if (c.rloop) bits |= kBitRloop;
-  if (c.bloop) bits |= kBitBloop;
-  if (c.dfs) bits |= kBitDfs;
-  write_varint(os, bits);
+  // The lane bitmap is the character's presence mask itself.
+  write_varint(os, c.lanes);
   for (int i = 0; i < kNumSnakeKinds; ++i)
-    if (c.grow[i]) write_snake_char(os, *c.grow[i]);
+    if (c.has_grow(i)) write_snake_char(os, c.grow(i));
   for (int i = 0; i < kNumSnakeKinds; ++i)
-    if (c.die[i]) write_snake_char(os, *c.die[i]);
-  if (c.rloop) {
-    put_u8(os, static_cast<std::uint8_t>(c.rloop->kind));
-    put_u8(os, c.rloop->out);
-    put_u8(os, c.rloop->in);
+    if (c.has_die(i)) write_snake_char(os, c.die(i));
+  if (c.has_rloop()) {
+    put_u8(os, static_cast<std::uint8_t>(c.rloop().kind));
+    put_u8(os, c.rloop().out);
+    put_u8(os, c.rloop().in);
   }
-  if (c.bloop) {
-    put_u8(os, static_cast<std::uint8_t>(c.bloop->kind));
-    put_u8(os, c.bloop->payload);
+  if (c.has_bloop()) {
+    put_u8(os, static_cast<std::uint8_t>(c.bloop().kind));
+    put_u8(os, c.bloop().payload);
   }
-  if (c.dfs) {
-    put_u8(os, c.dfs->last_out);
-    put_u8(os, c.dfs->last_in);
+  if (c.has_dfs()) {
+    put_u8(os, c.dfs().last_out);
+    put_u8(os, c.dfs().last_in);
   }
 }
 
 Character read_character(std::istream& is) {
   Character c;
   const std::uint64_t bits = read_varint(is);
-  if (bits >> 11) {
+  if (bits >> kNumLaneBits) {
     throw TraceError("trace corrupt: unknown character lane bits");
   }
   for (int i = 0; i < kNumSnakeKinds; ++i)
-    if (bits & (kBitGrow0 << i)) c.grow[i] = read_snake_char(is);
+    if (bits & (kLaneGrow0 << i)) c.set_grow(i, read_snake_char(is));
   for (int i = 0; i < kNumSnakeKinds; ++i)
-    if (bits & (kBitDie0 << i)) c.die[i] = read_snake_char(is);
-  c.kill = (bits & kBitKill) != 0;
-  c.bkill = (bits & kBitBkill) != 0;
-  if (bits & kBitRloop) {
+    if (bits & (kLaneDie0 << i)) c.set_die(i, read_snake_char(is));
+  c.set_kill((bits & kLaneKill) != 0);
+  c.set_bkill((bits & kLaneBkill) != 0);
+  if (bits & kLaneRloop) {
     RcaToken t;
     const std::uint8_t kind = get_u8(is);
     if (kind > static_cast<std::uint8_t>(RcaToken::Kind::kUnmark)) {
@@ -135,9 +115,9 @@ Character read_character(std::istream& is) {
     t.kind = static_cast<RcaToken::Kind>(kind);
     t.out = get_u8(is);
     t.in = get_u8(is);
-    c.rloop = t;
+    c.set_rloop(t);
   }
-  if (bits & kBitBloop) {
+  if (bits & kLaneBloop) {
     BcaToken t;
     const std::uint8_t kind = get_u8(is);
     if (kind > static_cast<std::uint8_t>(BcaToken::Kind::kBUnmark)) {
@@ -145,13 +125,13 @@ Character read_character(std::istream& is) {
     }
     t.kind = static_cast<BcaToken::Kind>(kind);
     t.payload = get_u8(is);
-    c.bloop = t;
+    c.set_bloop(t);
   }
-  if (bits & kBitDfs) {
+  if (bits & kLaneDfs) {
     DfsToken t;
     t.last_out = get_u8(is);
     t.last_in = get_u8(is);
-    c.dfs = t;
+    c.set_dfs(t);
   }
   return c;
 }

@@ -518,7 +518,7 @@ TEST(CliMain, TraceDiffPinpointsPerturbedTick) {
     }
   }
   ASSERT_GT(victim, 0u);
-  t.events[victim].payload.kill = true;
+  t.events[victim].payload.set_kill(true);
   {
     std::ofstream os(b_path, std::ios::binary);
     trace::write_trace(os, t);

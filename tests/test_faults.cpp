@@ -58,7 +58,7 @@ TEST(Faults, RogueUnmarkTokenIsDetected) {
   // marked-loop invariant and must throw.
   const PortGraph g = directed_ring(5);
   Character rogue;
-  rogue.rloop = RcaToken{RcaToken::Kind::kUnmark, kNoPort, kNoPort};
+  rogue.set_rloop(RcaToken{RcaToken::Kind::kUnmark, kNoPort, kNoPort});
   // Quiet wire early in the run: wire 3->4 at tick 3 (the first RCA is
   // still flooding near node 1).
   EXPECT_TRUE(run_with_injection(g, 3, g.out_wire(3, 0), rogue));
@@ -70,7 +70,7 @@ TEST(Faults, DuplicateDfsTokenNeverSilentlyWrong) {
   // machine-level violation.
   const PortGraph g = de_bruijn(3);
   Character rogue;
-  rogue.dfs = DfsToken{0, kStarPort};
+  rogue.set_dfs(DfsToken{0, kStarPort});
   bool any_detected = false;
   for (Tick t : {50, 200, 800}) {
     Character c = rogue;
@@ -87,7 +87,7 @@ TEST(Faults, SpuriousKillNeverSilentlyWrong) {
   // harmless on this workload.
   const PortGraph g = de_bruijn(3);
   Character rogue;
-  rogue.kill = true;
+  rogue.set_kill(true);
   int detected = 0, harmless = 0;
   for (Tick t : {2, 5, 9, 300, 1000}) {
     if (run_with_injection(g, t, g.out_wire(5, 1), rogue))
@@ -105,7 +105,7 @@ TEST(Faults, RogueSnakeBodyDetected) {
   // violate the dying-stream invariant (body before head).
   const PortGraph g = directed_ring(4);
   Character rogue;
-  rogue.die[index_of(DieKind::kID)] = SnakeChar{SnakePart::kBody, 0, 0};
+  rogue.set_die(index_of(DieKind::kID), SnakeChar{SnakePart::kBody, 0, 0});
   EXPECT_TRUE(run_with_injection(g, 2, g.out_wire(2, 0), rogue));
 }
 

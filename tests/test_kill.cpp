@@ -144,8 +144,8 @@ TEST(Kill, KillExtinctionWithinLoopTraversal) {
         }
         for (WireId w : e.graph().wire_ids()) {
           const Character* c = e.staged_message(w);
-          if (c && (c->grow[index_of(GrowKind::kIG)] ||
-                    c->grow[index_of(GrowKind::kOG)]))
+          if (c && (c->has_grow(index_of(GrowKind::kIG)) ||
+                    c->has_grow(index_of(GrowKind::kOG))))
             violation = true;
         }
       }

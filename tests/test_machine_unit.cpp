@@ -34,7 +34,7 @@ TEST(MachineUnit, QuiescentMachineStaysSilent) {
 
 TEST(MachineUnit, GrowingCharAcceptedAndRelayedAfterResidence) {
   MachineHarness h(false, 3, plain_config());
-  h.input(1).grow[IG] = head(2, kStarPort);
+  h.input(1).set_grow(IG, head(2, kStarPort));
   auto out = h.step();  // tick 1: residence begins
   for (const auto& o : out) EXPECT_FALSE(o.has_value());
   EXPECT_TRUE(h.machine().state().grow[IG].visited);
@@ -44,102 +44,102 @@ TEST(MachineUnit, GrowingCharAcceptedAndRelayedAfterResidence) {
   out = h.step_blank();  // tick 3: speed-1 => emitted 2 ticks after receipt
   for (Port p = 0; p < 3; ++p) {
     ASSERT_TRUE(out[p].has_value()) << "broadcast out all out-ports";
-    ASSERT_TRUE(out[p]->grow[IG].has_value());
-    EXPECT_EQ(out[p]->grow[IG]->out, 2);
-    EXPECT_EQ(out[p]->grow[IG]->in, 1);  // '*' was resolved to in-port 1
+    ASSERT_TRUE(out[p]->has_grow(IG));
+    EXPECT_EQ(out[p]->grow(IG).out, 2);
+    EXPECT_EQ(out[p]->grow(IG).in, 1);  // '*' was resolved to in-port 1
   }
 }
 
 TEST(MachineUnit, LowestInPortWinsSimultaneousArrival) {
   MachineHarness h(false, 4, plain_config());
-  h.input(2).grow[IG] = head(0, kStarPort);
-  h.input(1).grow[IG] = head(3, kStarPort);
+  h.input(2).set_grow(IG, head(0, kStarPort));
+  h.input(1).set_grow(IG, head(3, kStarPort));
   h.step();
   EXPECT_EQ(h.machine().state().grow[IG].parent, 1);
   // Only the winner is relayed.
   h.step_blank();
   const auto& out = h.step_blank();
   ASSERT_TRUE(out[0].has_value());
-  EXPECT_EQ(out[0]->grow[IG]->out, 3);  // the port-1 arrival's labels
+  EXPECT_EQ(out[0]->grow(IG).out, 3);  // the port-1 arrival's labels
 }
 
 TEST(MachineUnit, NonParentCharactersIgnored) {
   MachineHarness h(false, 3, plain_config());
-  h.input(0).grow[IG] = head(0, kStarPort);
+  h.input(0).set_grow(IG, head(0, kStarPort));
   h.step();
   // Later characters through a different port belong to a losing snake.
-  h.input(2).grow[IG] = body(1, kStarPort);
+  h.input(2).set_grow(IG, body(1, kStarPort));
   h.step();
   h.step_blank();
   const auto& out = h.step_blank();  // would be the rogue's emission tick
   for (const auto& o : out) {
     if (o) {
-      EXPECT_FALSE(o->grow[IG] && o->grow[IG]->out == 1);
+      EXPECT_FALSE(o->has_grow(IG) && o->grow(IG).out == 1);
     }
   }
 }
 
 TEST(MachineUnit, TailInsertionEmitsPerPortBodyThenTail) {
   MachineHarness h(false, 2, plain_config());
-  h.input(0).grow[IG] = head(0, kStarPort);
+  h.input(0).set_grow(IG, head(0, kStarPort));
   h.step();
-  h.input(0).grow[IG] = tail();
+  h.input(0).set_grow(IG, tail());
   h.step();          // tick 2
   h.step_blank();    // tick 3: head emitted
   auto out = h.step_blank();  // tick 4: inserted per-port body
   for (Port p = 0; p < 2; ++p) {
     ASSERT_TRUE(out[p].has_value());
-    ASSERT_TRUE(out[p]->grow[IG].has_value());
-    EXPECT_EQ(out[p]->grow[IG]->part, SnakePart::kBody);
-    EXPECT_EQ(out[p]->grow[IG]->out, p);  // IG(i,*) through out-port i
-    EXPECT_EQ(out[p]->grow[IG]->in, kStarPort);
+    ASSERT_TRUE(out[p]->has_grow(IG));
+    EXPECT_EQ(out[p]->grow(IG).part, SnakePart::kBody);
+    EXPECT_EQ(out[p]->grow(IG).out, p);  // IG(i,*) through out-port i
+    EXPECT_EQ(out[p]->grow(IG).in, kStarPort);
   }
   out = h.step_blank();  // tick 5: the tail, one slot later
   ASSERT_TRUE(out[0].has_value());
-  EXPECT_EQ(out[0]->grow[IG]->part, SnakePart::kTail);
+  EXPECT_EQ(out[0]->grow(IG).part, SnakePart::kTail);
 }
 
 TEST(MachineUnit, KillErasesMarksAndRebroadcasts) {
   MachineHarness h(false, 2, plain_config());
-  h.input(0).grow[IG] = head(0, kStarPort);
+  h.input(0).set_grow(IG, head(0, kStarPort));
   h.step();
   ASSERT_TRUE(h.machine().state().grow[IG].visited);
-  h.input(1).kill = true;
+  h.input(1).set_kill(true);
   const auto& out = h.step();  // KILL forwarded the same tick (speed 3)
   EXPECT_FALSE(h.machine().state().grow[IG].visited);
   for (Port p = 0; p < 2; ++p) {
     ASSERT_TRUE(out[p].has_value());
-    EXPECT_TRUE(out[p]->kill);
+    EXPECT_TRUE(out[p]->kill());
     // The held head was erased before its emission tick.
-    EXPECT_FALSE(out[p]->grow[IG].has_value());
+    EXPECT_FALSE(out[p]->has_grow(IG));
   }
 }
 
 TEST(MachineUnit, KillIgnoredWithoutGrowingState) {
   MachineHarness h(false, 2, plain_config());
-  h.input(0).kill = true;
+  h.input(0).set_kill(true);
   const auto& out = h.step();
   for (const auto& o : out) EXPECT_FALSE(o.has_value());
 }
 
 TEST(MachineUnit, KillErasesSameTickArrivals) {
   MachineHarness h(false, 2, plain_config());
-  h.input(0).grow[IG] = head(0, kStarPort);
-  h.input(1).kill = true;
+  h.input(0).set_grow(IG, head(0, kStarPort));
+  h.input(1).set_kill(true);
   const auto& out = h.step();
   // The arriving character counts as state: KILL is forwarded...
   ASSERT_TRUE(out[0].has_value());
-  EXPECT_TRUE(out[0]->kill);
+  EXPECT_TRUE(out[0]->kill());
   // ...and the character never marks the machine.
   EXPECT_FALSE(h.machine().state().grow[IG].visited);
 }
 
 TEST(MachineUnit, BkillOnlyTouchesBgLane) {
   MachineHarness h(false, 2, plain_config());
-  h.input(0).grow[IG] = head(0, kStarPort);
-  h.input(1).grow[BG] = head(1, kStarPort);
+  h.input(0).set_grow(IG, head(0, kStarPort));
+  h.input(1).set_grow(BG, head(1, kStarPort));
   h.step();
-  h.input(0).bkill = true;
+  h.input(0).set_bkill(true);
   h.step();
   EXPECT_TRUE(h.machine().state().grow[IG].visited);
   EXPECT_FALSE(h.machine().state().grow[BG].visited);
@@ -147,7 +147,7 @@ TEST(MachineUnit, BkillOnlyTouchesBgLane) {
 
 TEST(MachineUnit, DyingHeadSetsLoopMarksAndIsConsumed) {
   MachineHarness h(false, 3, plain_config());
-  h.input(2).die[ID] = head(1, 0);
+  h.input(2).set_die(ID, head(1, 0));
   const auto& out = h.step();
   for (const auto& o : out) EXPECT_FALSE(o.has_value());  // head eaten
   EXPECT_TRUE(h.machine().state().loop.has1);
@@ -157,79 +157,79 @@ TEST(MachineUnit, DyingHeadSetsLoopMarksAndIsConsumed) {
 
 TEST(MachineUnit, DyingBodyPromotedToHead) {
   MachineHarness h(false, 3, plain_config());
-  h.input(2).die[ID] = head(1, 0);
+  h.input(2).set_die(ID, head(1, 0));
   h.step();
-  h.input(2).die[ID] = body(0, 2);
+  h.input(2).set_die(ID, body(0, 2));
   h.step();
   h.step_blank();
   const auto& out = h.step_blank();  // speed-1 residence
   ASSERT_TRUE(out[1].has_value()) << "relayed through successor out-port";
-  ASSERT_TRUE(out[1]->die[ID].has_value());
-  EXPECT_EQ(out[1]->die[ID]->part, SnakePart::kHead);  // promoted
-  EXPECT_EQ(out[1]->die[ID]->out, 0);
+  ASSERT_TRUE(out[1]->has_die(ID));
+  EXPECT_EQ(out[1]->die(ID).part, SnakePart::kHead);  // promoted
+  EXPECT_EQ(out[1]->die(ID).out, 0);
   EXPECT_FALSE(out[0].has_value());  // not broadcast
 }
 
 TEST(MachineUnit, BdHeadThenTailMarksTarget) {
   MachineHarness h(false, 2, plain_config());
-  h.input(0).die[BD] = head(1, 0);
+  h.input(0).set_die(BD, head(1, 0));
   h.step();
   EXPECT_FALSE(h.machine().state().bca_marks.target);
-  h.input(0).die[BD] = tail();
+  h.input(0).set_die(BD, tail());
   h.step();
   EXPECT_TRUE(h.machine().state().bca_marks.target);
 }
 
 TEST(MachineUnit, DyingBodyWithoutHeadThrows) {
   MachineHarness h(false, 2, plain_config());
-  h.input(0).die[ID] = body(0, 0);
+  h.input(0).set_die(ID, body(0, 0));
   EXPECT_THROW(h.step(), Error);
 }
 
 TEST(MachineUnit, LoopTokenWithoutMarksThrows) {
   MachineHarness h(false, 2, plain_config());
-  h.input(0).rloop = RcaToken{RcaToken::Kind::kBack, kNoPort, kNoPort};
+  h.input(0).set_rloop(RcaToken{RcaToken::Kind::kBack, kNoPort, kNoPort});
   EXPECT_THROW(h.step(), Error);
 }
 
 TEST(MachineUnit, LoopTokenRoutedPredToSucc) {
   MachineHarness h(false, 3, plain_config());
-  h.input(2).die[ID] = head(1, 0);  // pred1 = 2, succ1 = 1
+  h.input(2).set_die(ID, head(1, 0));  // pred1 = 2, succ1 = 1
   h.step();
-  h.input(2).rloop = RcaToken{RcaToken::Kind::kForward, 0, 0};
+  h.input(2).set_rloop(RcaToken{RcaToken::Kind::kForward, 0, 0});
   h.step();
   h.step_blank();
   const auto& out = h.step_blank();  // FORWARD is speed-1
   ASSERT_TRUE(out[1].has_value());
-  ASSERT_TRUE(out[1]->rloop.has_value());
-  EXPECT_EQ(out[1]->rloop->kind, RcaToken::Kind::kForward);
+  ASSERT_TRUE(out[1]->has_rloop());
+  EXPECT_EQ(out[1]->rloop().kind, RcaToken::Kind::kForward);
 }
 
 TEST(MachineUnit, UnmarkClearsSlotAndMovesFast) {
   MachineHarness h(false, 3, plain_config());
-  h.input(2).die[ID] = head(1, 0);
+  h.input(2).set_die(ID, head(1, 0));
   h.step();
-  h.input(2).rloop = RcaToken{RcaToken::Kind::kUnmark, kNoPort, kNoPort};
+  h.input(2).set_rloop(RcaToken{RcaToken::Kind::kUnmark, kNoPort, kNoPort});
   const auto& out = h.step();  // speed-3: forwarded the same tick
   ASSERT_TRUE(out[1].has_value());
-  EXPECT_EQ(out[1]->rloop->kind, RcaToken::Kind::kUnmark);
+  EXPECT_EQ(out[1]->rloop().kind, RcaToken::Kind::kUnmark);
   EXPECT_FALSE(h.machine().state().loop.has1);
 }
 
 TEST(MachineUnit, DualSlotAlternation) {
   MachineHarness h(false, 4, plain_config());
-  h.input(0).die[ID] = head(1, 0);  // slot 1: pred 0, succ 1
+  h.input(0).set_die(ID, head(1, 0));  // slot 1: pred 0, succ 1
   h.step();
-  h.input(2).die[static_cast<int>(DieKind::kOD)] = head(3, 0);  // slot 2
+  h.input(2).set_die(static_cast<int>(DieKind::kOD), head(3, 0));  // slot 2
   h.step();
   // First token must use slot 1 (pred 0 -> succ 1)...
-  h.input(0).rloop = RcaToken{RcaToken::Kind::kBack, kNoPort, kNoPort};
+  h.input(0).set_rloop(RcaToken{RcaToken::Kind::kBack, kNoPort, kNoPort});
   h.step();
   h.step_blank();
   auto out = h.step_blank();
   ASSERT_TRUE(out[1].has_value());
   // ...the second pass uses slot 2 (pred 2 -> succ 3).
-  h.input(2).rloop = RcaToken{RcaToken::Kind::kBack, kNoPort, kNoPort};
+  h.input(2).set_rloop(RcaToken{RcaToken::Kind::kBack, kNoPort, kNoPort});
   h.step();
   h.step_blank();
   out = h.step_blank();
@@ -238,23 +238,23 @@ TEST(MachineUnit, DualSlotAlternation) {
 
 TEST(MachineUnit, WrongPredPortThrows) {
   MachineHarness h(false, 3, plain_config());
-  h.input(2).die[ID] = head(1, 0);
+  h.input(2).set_die(ID, head(1, 0));
   h.step();
-  h.input(0).rloop = RcaToken{RcaToken::Kind::kBack, kNoPort, kNoPort};
+  h.input(0).set_rloop(RcaToken{RcaToken::Kind::kBack, kNoPort, kNoPort});
   EXPECT_THROW(h.step(), Error);
 }
 
 TEST(MachineUnit, DfsTokenTriggersRcaFlood) {
   MachineHarness h(false, 2, plain_config());
-  h.input(1).dfs = DfsToken{0, kStarPort};
+  h.input(1).set_dfs(DfsToken{0, kStarPort});
   const auto& out = h.step();
   // Step 1 of the RCA: baby IG heads out of every out-port, immediately.
   for (Port p = 0; p < 2; ++p) {
     ASSERT_TRUE(out[p].has_value());
-    ASSERT_TRUE(out[p]->grow[IG].has_value());
-    EXPECT_EQ(out[p]->grow[IG]->part, SnakePart::kHead);
-    EXPECT_EQ(out[p]->grow[IG]->out, p);
-    EXPECT_EQ(out[p]->grow[IG]->in, kStarPort);
+    ASSERT_TRUE(out[p]->has_grow(IG));
+    EXPECT_EQ(out[p]->grow(IG).part, SnakePart::kHead);
+    EXPECT_EQ(out[p]->grow(IG).out, p);
+    EXPECT_EQ(out[p]->grow(IG).in, kStarPort);
   }
   EXPECT_EQ(h.machine().state().rca_phase, RcaPhase::kWaitOg);
   EXPECT_TRUE(h.machine().state().dfs.visited);
@@ -262,7 +262,7 @@ TEST(MachineUnit, DfsTokenTriggersRcaFlood) {
   // Tail follows on the next tick.
   const auto& out2 = h.step_blank();
   ASSERT_TRUE(out2[0].has_value());
-  EXPECT_EQ(out2[0]->grow[IG]->part, SnakePart::kTail);
+  EXPECT_EQ(out2[0]->grow(IG).part, SnakePart::kTail);
 }
 
 TEST(MachineUnit, RootAcceptsFirstIgHeadAndConverts) {
@@ -275,7 +275,7 @@ TEST(MachineUnit, RootAcceptsFirstIgHeadAndConverts) {
   ASSERT_FALSE(t.events().empty());
   EXPECT_EQ(t.events()[0].kind, TranscriptEvent::Kind::kInit);
   // Feed the first IG head.
-  h.input(1).grow[IG] = head(0, 1);
+  h.input(1).set_grow(IG, head(0, 1));
   h.step();
   EXPECT_EQ(h.machine().state().root_phase, RootPhase::kConvertGrow);
   ASSERT_EQ(t.events().size(), 2u);
@@ -286,12 +286,12 @@ TEST(MachineUnit, RootAcceptsFirstIgHeadAndConverts) {
   h.step_blank();
   const auto& out = h.step_blank();
   ASSERT_TRUE(out[0].has_value());
-  ASSERT_TRUE(out[0]->grow[OG].has_value());
-  EXPECT_EQ(out[0]->grow[OG]->part, SnakePart::kHead);
-  EXPECT_EQ(out[0]->grow[OG]->out, 0);
-  EXPECT_EQ(out[0]->grow[OG]->in, 1);
+  ASSERT_TRUE(out[0]->has_grow(OG));
+  EXPECT_EQ(out[0]->grow(OG).part, SnakePart::kHead);
+  EXPECT_EQ(out[0]->grow(OG).out, 0);
+  EXPECT_EQ(out[0]->grow(OG).in, 1);
   // A second IG head is ignored: "the root closes itself off".
-  h.input(0).grow[IG] = head(1, 0);
+  h.input(0).set_grow(IG, head(1, 0));
   h.step();
   EXPECT_EQ(t.events().size(), 2u);
 }
@@ -301,24 +301,24 @@ TEST(MachineUnit, AblationDelaysRespected) {
   GtdMachine::Config cfg;
   cfg.protocol.snake_delay = 0;
   MachineHarness h(false, 2, cfg);
-  h.input(0).grow[IG] = head(0, kStarPort);
+  h.input(0).set_grow(IG, head(0, kStarPort));
   const auto& out = h.step();
   ASSERT_TRUE(out[0].has_value());
-  EXPECT_TRUE(out[0]->grow[IG].has_value());
+  EXPECT_TRUE(out[0]->has_grow(IG));
 }
 
 TEST(MachineUnit, PristineAfterKillAndUnmark) {
   MachineHarness h(false, 2, plain_config());
-  h.input(0).grow[IG] = head(0, kStarPort);
+  h.input(0).set_grow(IG, head(0, kStarPort));
   h.step();
-  h.input(0).die[ID] = head(1, 0);  // marks the loop through this node
+  h.input(0).set_die(ID, head(1, 0));  // marks the loop through this node
   h.step();
-  h.input(0).die[ID] = tail();  // the stream completes (tail passes on)
+  h.input(0).set_die(ID, tail());  // the stream completes (tail passes on)
   h.step();
-  h.input(1).kill = true;
+  h.input(1).set_kill(true);
   h.step();
   EXPECT_FALSE(h.machine().pristine());  // loop marks remain
-  h.input(0).rloop = RcaToken{RcaToken::Kind::kUnmark, kNoPort, kNoPort};
+  h.input(0).set_rloop(RcaToken{RcaToken::Kind::kUnmark, kNoPort, kNoPort});
   h.step();
   // Let pending emissions drain.
   while (!h.machine().idle()) h.step_blank();

@@ -11,6 +11,8 @@
 #include "graph/families.hpp"
 #include "runner/runner.hpp"
 #include "runner/scenario.hpp"
+#include "trace/codec.hpp"
+#include "trace/container.hpp"
 #include "trace/trace_diff.hpp"
 #include "trace/trace_io.hpp"
 
@@ -60,6 +62,35 @@ TEST(Replay, RecordReplayRoundTripsAcrossFamiliesAndThreadCounts) {
   }
 }
 
+// Byte identity across code changes, not only across thread counts: the
+// raw-codec DTR2 bytes of three complete runs are pinned (length and
+// FNV-1a 64). A refactor of the machine or the wire character that changes
+// any recorded send, tick or transcript event changes these values.
+TEST(Replay, GoldenTraceDigestsArePinned) {
+  struct Golden {
+    const char* family;
+    NodeId nodes;
+    std::size_t bytes;
+    std::uint64_t fnv;
+  };
+  const Golden goldens[] = {
+      {"debruijn", 16, 314673, 0x7d28f22e9ee716c9ull},
+      {"torus", 16, 304536, 0x893ba6f8410f1d72ull},
+      {"treeloop", 15, 308471, 0xe649142522c4b078ull},
+  };
+  for (const Golden& gold : goldens) {
+    const FamilyInstance inst = make_family(gold.family, gold.nodes, 1);
+    const trace::RecordedTrace t = record_run(inst.graph, 1);
+    std::stringstream ss;
+    trace::Dtr2Options opts;
+    opts.codec = trace::TraceCodec::kRaw;
+    trace::write_trace_dtr2(ss, t, opts);
+    const std::string bytes = ss.str();
+    EXPECT_EQ(bytes.size(), gold.bytes) << inst.label;
+    EXPECT_EQ(trace::fnv1a64(bytes), gold.fnv) << inst.label;
+  }
+}
+
 TEST(Replay, ReplayRebuildsTheTranscript) {
   const PortGraph g = directed_torus(3, 3);
   const trace::RecordedTrace t = record_run(g, 1);
@@ -84,7 +115,7 @@ TEST(Replay, DetectsPerturbedPayloadAtItsTick) {
     }
   }
   ASSERT_LT(victim, t.events.size());
-  t.events[victim].payload.kill = !t.events[victim].payload.kill;
+  t.events[victim].payload.set_kill(!t.events[victim].payload.kill());
 
   const ReplayResult r = replay_gtd(t);
   EXPECT_FALSE(r.ok);
@@ -140,7 +171,7 @@ TEST(Replay, ReproducesViolationTraces) {
   GtdOptions opt;
   opt.trace = &rec;
   Character rogue;
-  rogue.rloop = RcaToken{RcaToken::Kind::kUnmark, kNoPort, kNoPort};
+  rogue.set_rloop(RcaToken{RcaToken::Kind::kUnmark, kNoPort, kNoPort});
   opt.injections.push_back(trace::TraceInjection{3, g.out_wire(3, 0), rogue});
   EXPECT_THROW(run_gtd(g, 0, opt), Error);
 

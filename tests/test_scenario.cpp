@@ -61,12 +61,12 @@ TEST(Scenario, TokenGrammarIsShared) {
 }
 
 TEST(Scenario, RogueCharactersMatchTheirKind) {
-  EXPECT_TRUE(rogue_character(FaultScenario::Kind::kKill).kill);
+  EXPECT_TRUE(rogue_character(FaultScenario::Kind::kKill).kill());
   const Character unmark = rogue_character(FaultScenario::Kind::kUnmark);
-  ASSERT_TRUE(unmark.rloop.has_value());
-  EXPECT_EQ(unmark.rloop->kind, RcaToken::Kind::kUnmark);
+  ASSERT_TRUE(unmark.has_rloop());
+  EXPECT_EQ(unmark.rloop().kind, RcaToken::Kind::kUnmark);
   const Character dfs = rogue_character(FaultScenario::Kind::kDfs);
-  EXPECT_TRUE(dfs.dfs.has_value());
+  EXPECT_TRUE(dfs.has_dfs());
   EXPECT_THROW(rogue_character(FaultScenario::Kind::kNone), Error);
 }
 
@@ -79,7 +79,7 @@ TEST(Scenario, InjectionIsDeterministicInSeedAndTick) {
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.at, 40);
   EXPECT_LT(a.wire, g.wire_slots());
-  EXPECT_TRUE(a.rogue.kill);
+  EXPECT_TRUE(a.rogue.kill());
 
   // Different seeds must be able to pick different wires (statistically:
   // over 16 seeds on a 16-wire graph, at least two picks differ).

@@ -36,22 +36,22 @@ TEST(Snakes, Speed1TimingOnRing) {
 
   engine.step();  // tick 1
   ASSERT_TRUE(engine.staged_message(w01));
-  EXPECT_TRUE(engine.staged_message(w01)->dfs.has_value());
+  EXPECT_TRUE(engine.staged_message(w01)->has_dfs());
 
   engine.step();  // tick 2
   {
     const Character* c = engine.staged_message(w12);
-    ASSERT_TRUE(c && c->grow[IG]);
-    EXPECT_EQ(c->grow[IG]->part, SnakePart::kHead);
-    EXPECT_EQ(c->grow[IG]->out, 0);        // head labelled with its out-port
-    EXPECT_EQ(c->grow[IG]->in, kStarPort);  // '*' until received
+    ASSERT_TRUE(c && c->has_grow(IG));
+    EXPECT_EQ(c->grow(IG).part, SnakePart::kHead);
+    EXPECT_EQ(c->grow(IG).out, 0);        // head labelled with its out-port
+    EXPECT_EQ(c->grow(IG).in, kStarPort);  // '*' until received
   }
 
   engine.step();  // tick 3: tail follows one tick behind the head
   {
     const Character* c = engine.staged_message(w12);
-    ASSERT_TRUE(c && c->grow[IG]);
-    EXPECT_EQ(c->grow[IG]->part, SnakePart::kTail);
+    ASSERT_TRUE(c && c->has_grow(IG));
+    EXPECT_EQ(c->grow(IG).part, SnakePart::kTail);
   }
 
   engine.step();  // tick 4: wire 2->3 still silent (speed-1 residence)
@@ -60,32 +60,32 @@ TEST(Snakes, Speed1TimingOnRing) {
   engine.step();  // tick 5: node 2 relays the head, '*' resolved to 0
   {
     const Character* c = engine.staged_message(w23);
-    ASSERT_TRUE(c && c->grow[IG]);
-    EXPECT_EQ(c->grow[IG]->part, SnakePart::kHead);
-    EXPECT_EQ(c->grow[IG]->out, 0);
-    EXPECT_EQ(c->grow[IG]->in, 0);
+    ASSERT_TRUE(c && c->has_grow(IG));
+    EXPECT_EQ(c->grow(IG).part, SnakePart::kHead);
+    EXPECT_EQ(c->grow(IG).out, 0);
+    EXPECT_EQ(c->grow(IG).in, 0);
   }
 
   engine.step();  // tick 6: the inserted body character (fresh '*')
   {
     const Character* c = engine.staged_message(w23);
-    ASSERT_TRUE(c && c->grow[IG]);
-    EXPECT_EQ(c->grow[IG]->part, SnakePart::kBody);
-    EXPECT_EQ(c->grow[IG]->in, kStarPort);
+    ASSERT_TRUE(c && c->has_grow(IG));
+    EXPECT_EQ(c->grow(IG).part, SnakePart::kBody);
+    EXPECT_EQ(c->grow(IG).in, kStarPort);
   }
 
   engine.step();  // tick 7: the tail, one slot behind the insertion
   {
     const Character* c = engine.staged_message(w23);
-    ASSERT_TRUE(c && c->grow[IG]);
-    EXPECT_EQ(c->grow[IG]->part, SnakePart::kTail);
+    ASSERT_TRUE(c && c->has_grow(IG));
+    EXPECT_EQ(c->grow(IG).part, SnakePart::kTail);
   }
 
   engine.step();  // tick 8: the head is now two hops out — 3 ticks per hop
   {
     const Character* c = engine.staged_message(w34);
-    ASSERT_TRUE(c && c->grow[IG]);
-    EXPECT_EQ(c->grow[IG]->part, SnakePart::kHead);
+    ASSERT_TRUE(c && c->has_grow(IG));
+    EXPECT_EQ(c->grow(IG).part, SnakePart::kHead);
   }
 }
 
@@ -125,11 +125,11 @@ TEST(Snakes, TailInsertionBranchesPerPort) {
   const int IG = index_of(GrowKind::kIG);
   const Character* to2 = engine.staged_message(g.out_wire(1, 0));
   const Character* to3 = engine.staged_message(g.out_wire(1, 1));
-  ASSERT_TRUE(to2 && to2->grow[IG]);
-  ASSERT_TRUE(to3 && to3->grow[IG]);
+  ASSERT_TRUE(to2 && to2->has_grow(IG));
+  ASSERT_TRUE(to3 && to3->has_grow(IG));
   // Per-port heads carry their own out-port label.
-  EXPECT_EQ(to2->grow[IG]->out, 0);
-  EXPECT_EQ(to3->grow[IG]->out, 1);
+  EXPECT_EQ(to2->grow(IG).out, 0);
+  EXPECT_EQ(to3->grow(IG).out, 1);
 }
 
 TEST(Snakes, TranscriptEventOrderOnTriangle) {
@@ -213,8 +213,8 @@ TEST(Snakes, AlphabetToString) {
   Character ch;
   EXPECT_EQ(to_string(ch), "blank");
   EXPECT_TRUE(ch.blank());
-  ch.kill = true;
-  ch.grow[index_of(GrowKind::kOG)] = SnakeChar{SnakePart::kTail, 0, 0};
+  ch.set_kill(true);
+  ch.set_grow(index_of(GrowKind::kOG), SnakeChar{SnakePart::kTail, 0, 0});
   EXPECT_FALSE(ch.blank());
   const std::string s = to_string(ch);
   EXPECT_NE(s.find("KILL"), std::string::npos);
@@ -223,7 +223,7 @@ TEST(Snakes, AlphabetToString) {
 
 TEST(Snakes, CharacterIsSmallPod) {
   EXPECT_TRUE(std::is_trivially_copyable_v<Character>);
-  EXPECT_LE(sizeof(Character), 64u);  // constant-size wire symbol
+  EXPECT_LE(sizeof(Character), 28u);  // constant-size wire symbol
   EXPECT_TRUE(std::is_trivially_copyable_v<GtdState>);
 }
 

@@ -20,10 +20,11 @@ namespace {
 
 Character send_payload(std::uint32_t salt) {
   Character c;
-  c.grow[salt % kNumSnakeKinds] =
-      SnakeChar{SnakePart::kHead, static_cast<Port>(salt % 3), kStarPort};
-  if (salt % 5 == 0) c.kill = true;
-  if (salt % 7 == 0) c.dfs = DfsToken{1, 0};
+  c.set_grow(salt % kNumSnakeKinds,
+             SnakeChar{SnakePart::kHead, static_cast<Port>(salt % 3),
+                       kStarPort});
+  if (salt % 5 == 0) c.set_kill(true);
+  if (salt % 7 == 0) c.set_dfs(DfsToken{1, 0});
   return c;
 }
 
@@ -394,7 +395,7 @@ RecordedTrace trace_with_injections() {
   RecordedTrace t = synthetic_trace(6, 12, 2);
   TraceEvent inj;
   inj.kind = TraceEventKind::kInject;
-  inj.payload.kill = true;
+  inj.payload.set_kill(true);
   for (const Tick at : {2, 5, 9}) {
     inj.tick = at;
     inj.a = static_cast<std::uint32_t>(at);  // wire id
@@ -445,7 +446,7 @@ TEST(TraceSurgery, InjectionSelectionPartitionsTheWindow) {
   const std::vector<TraceInjection> out = injections_outside_range(t, r);
   ASSERT_EQ(in.size(), 1u);
   EXPECT_EQ(in[0].at, 5);
-  EXPECT_TRUE(in[0].rogue.kill);
+  EXPECT_TRUE(in[0].rogue.kill());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].at, 2);
   EXPECT_EQ(out[1].at, 9);

@@ -3,6 +3,7 @@
 // detection, and event-level diff.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "graph/families.hpp"
@@ -49,14 +50,14 @@ TEST(TraceVarint, TruncationThrows) {
 
 Character full_character() {
   Character c;
-  c.grow[0] = SnakeChar{SnakePart::kHead, 1, kStarPort};
-  c.grow[2] = SnakeChar{SnakePart::kTail, kNoPort, kNoPort};
-  c.die[1] = SnakeChar{SnakePart::kBody, 0, 3};
-  c.kill = true;
-  c.bkill = true;
-  c.rloop = RcaToken{RcaToken::Kind::kForward, 2, 1};
-  c.bloop = BcaToken{BcaToken::Kind::kData, 0x5A};
-  c.dfs = DfsToken{1, 0};
+  c.set_grow(0, SnakeChar{SnakePart::kHead, 1, kStarPort});
+  c.set_grow(2, SnakeChar{SnakePart::kTail, kNoPort, kNoPort});
+  c.set_die(1, SnakeChar{SnakePart::kBody, 0, 3});
+  c.set_kill(true);
+  c.set_bkill(true);
+  c.set_rloop(RcaToken{RcaToken::Kind::kForward, 2, 1});
+  c.set_bloop(BcaToken{BcaToken::Kind::kData, 0x5A});
+  c.set_dfs(DfsToken{1, 0});
   return c;
 }
 
@@ -72,6 +73,62 @@ TEST(TraceCharacterCodec, BlankIsOneByte) {
   std::stringstream ss;
   write_character(ss, Character{});
   EXPECT_EQ(ss.str().size(), 1u);
+}
+
+// A lane's field is meaningful only while its presence bit is set: stale
+// bytes left in absent lanes change neither equality nor the encoding.
+TEST(TraceCharacterCodec, AbsentLaneBytesAreIgnored) {
+  Character a;
+  a.set_grow(1, SnakeChar{SnakePart::kBody, 2, 0});
+  Character b = a;
+  b.set_die(2, SnakeChar{SnakePart::kHead, 1, 3});
+  b.set_rloop(RcaToken{RcaToken::Kind::kForward, 0, 1});
+  b.set_dfs(DfsToken{2, 2});
+  b.lanes = a.lanes;  // drop the three lanes, keep their bytes
+  ASSERT_NE(std::memcmp(&a, &b, sizeof(Character)), 0);
+  EXPECT_EQ(a, b);
+  std::stringstream sa, sb;
+  write_character(sa, a);
+  write_character(sb, b);
+  EXPECT_EQ(sa.str(), sb.str());
+}
+
+// Every one of the 2^11 lane masks round-trips, and the encoded bitmap is
+// the mask itself.
+TEST(TraceCharacterCodec, EveryLaneMaskRoundTrips) {
+  for (std::uint32_t mask = 0; mask < (1u << kNumLaneBits); ++mask) {
+    const auto port = [&](int salt) {
+      return static_cast<Port>((mask + static_cast<std::uint32_t>(salt)) % 4);
+    };
+    Character c;
+    for (int i = 0; i < kNumSnakeKinds; ++i) {
+      if (mask & (kLaneGrow0 << i))
+        c.set_grow(i, SnakeChar{SnakePart::kHead, port(i), kStarPort});
+      if (mask & (kLaneDie0 << i))
+        c.set_die(i, SnakeChar{SnakePart::kTail, kNoPort, port(i + 3)});
+    }
+    c.set_kill((mask & kLaneKill) != 0);
+    c.set_bkill((mask & kLaneBkill) != 0);
+    if (mask & kLaneRloop)
+      c.set_rloop(RcaToken{RcaToken::Kind::kForward, port(6), port(7)});
+    if (mask & kLaneBloop)
+      c.set_bloop(BcaToken{BcaToken::Kind::kData,
+                           static_cast<std::uint8_t>(mask)});
+    if (mask & kLaneDfs) c.set_dfs(DfsToken{port(8), kStarPort});
+    ASSERT_EQ(c.lanes, mask);
+
+    std::stringstream ss;
+    write_character(ss, c);
+    EXPECT_EQ(read_varint(ss), mask);
+    ss.seekg(0);
+    const Character back = read_character(ss);
+    EXPECT_EQ(back.lanes, mask);
+    EXPECT_EQ(back, c) << "mask " << mask;
+    EXPECT_EQ(ss.peek(), std::char_traits<char>::eof()) << "mask " << mask;
+  }
+  std::stringstream bad;
+  write_varint(bad, 1u << kNumLaneBits);
+  EXPECT_THROW(read_character(bad), TraceError);
 }
 
 RecordedTrace sample_trace() {
@@ -104,7 +161,7 @@ RecordedTrace sample_trace() {
   ev.tick = 5;
   ev.a = 0;
   ev.b = 1;
-  ev.payload.kill = true;
+  ev.payload.set_kill(true);
   t.events.push_back(ev);
 
   ev = TraceEvent{};
@@ -230,8 +287,8 @@ TEST(TraceDiffTest, IdenticalTraces) {
 TEST(TraceDiffTest, PinpointsFirstDivergentEventAndTick) {
   const RecordedTrace a = sample_trace();
   RecordedTrace b = a;
-  b.events[3].payload.kill = false;
-  b.events[3].payload.bkill = true;
+  b.events[3].payload.set_kill(false);
+  b.events[3].payload.set_bkill(true);
   const TraceDiff d = diff_traces(a, b);
   EXPECT_TRUE(d.headers_match);
   EXPECT_FALSE(d.identical);
