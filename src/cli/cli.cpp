@@ -369,17 +369,17 @@ std::string usage_text() {
       "  dtopctl trace  record  (--family NAME --nodes N | --graph FILE)\n"
       "                 --out FILE [--seed S] [--root R] [--threads T]\n"
       "                 [--max-ticks T] [--config ratioK] [--scenario S]...\n"
-      "                 [--spans] [--format dtr1|dtr2] [--codec raw|dlz|zstd]\n"
+      "                 [--spans] [--codec raw|dlz|zstd]\n"
       "  dtopctl trace  inspect --trace FILE [--start I] [--max N] [--summary]\n"
       "  dtopctl trace  diff    --a FILE --b FILE\n"
       "  dtopctl trace  replay  --trace FILE [--threads T]\n"
       "  dtopctl trace  extract --trace FILE --out FILE [--from-tick T]\n"
       "                 [--to-tick T] [--from-event I] [--to-event I]\n"
-      "                 [--format F] [--codec C]\n"
+      "                 [--codec C]\n"
       "  dtopctl trace  splice  --trace BASE --donor FILE --out FILE\n"
-      "                 [range flags as extract] [--format F] [--codec C]\n"
+      "                 [range flags as extract] [--codec C]\n"
       "  dtopctl trace  overwrite --trace FILE --out FILE --scenario S...\n"
-      "                 [--seed S] [range flags] [--format F] [--codec C]\n"
+      "                 [--seed S] [range flags] [--codec C]\n"
       "  dtopctl trace  corpus  --dir DIR\n"
       "  dtopctl serve  (--socket PATH | --listen HOST:PORT) [--workers N]\n"
       "                 [--pin] [--cache N] [--cache-store FILE]\n"

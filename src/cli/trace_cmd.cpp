@@ -122,15 +122,11 @@ trace::Dtr2Options make_dtr2_options(const TraceOptions& opt) {
   return d;
 }
 
-// Writes `t` to opt.out in the selected container (--format/--codec).
+// Writes `t` to opt.out as DTR2 with the selected --codec.
 void write_trace_output(const TraceOptions& opt, std::ostream& fallback,
                         const trace::RecordedTrace& t) {
   with_output(opt.out, fallback, [&](std::ostream& os) {
-    if (opt.format == "dtr1") {
-      trace::write_trace(os, t);
-    } else {
-      trace::write_trace_dtr2(os, t, make_dtr2_options(opt));
-    }
+    trace::write_trace_dtr2(os, t, make_dtr2_options(opt));
   });
 }
 
@@ -219,15 +215,11 @@ int inspect_command(const TraceOptions& opt, std::ostream& out,
       opt.trace_file, [](std::istream& is) { return trace::TraceFile(is); });
   const PortGraph& g = f.header().graph;
 
-  out << "Trace " << opt.trace_file << " (";
-  if (f.format() == trace::TraceFile::Format::kDtr2) {
-    out << "DTR2/" << trace::to_cstr(f.file_codec())
-        << (f.indexed() ? ", indexed, " : ", scan recovery, ")
-        << f.num_blocks() << (f.num_blocks() == 1 ? " block" : " blocks");
-  } else {
-    out << "DTR1 v" << static_cast<int>(f.header().version);
-  }
-  out << "): " << g.num_nodes() << " processors, " << g.num_wires()
+  out << "Trace " << opt.trace_file << " (DTR2/"
+      << trace::to_cstr(f.file_codec())
+      << (f.indexed() ? ", indexed, " : ", scan recovery, ")
+      << f.num_blocks() << (f.num_blocks() == 1 ? " block" : " blocks")
+      << "): " << g.num_nodes() << " processors, " << g.num_wires()
       << " wires, delta=" << static_cast<int>(g.delta())
       << ", root=" << f.header().root
       << ", delays=" << f.header().config.snake_delay << "/"
@@ -520,11 +512,6 @@ TraceOptions parse_trace_args(const std::vector<std::string>& args) {
       opt.spans = true;
     } else if (writes_trace && f == "--out") {
       opt.out = w.value();
-    } else if (writes_trace && f == "--format") {
-      opt.format = w.value();
-      if (opt.format != "dtr1" && opt.format != "dtr2") {
-        throw UsageError("--format must be dtr1 or dtr2");
-      }
     } else if (writes_trace && f == "--codec") {
       opt.codec = w.value();
       trace::TraceCodec c = trace::TraceCodec::kRaw;

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "graph/analysis.hpp"
+#include "support/bytes.hpp"
 
 namespace dtop {
 
@@ -115,14 +116,7 @@ CanonicalForm canonical_form(const PortGraph& g, NodeId root) {
     }
   }
   form.bytes = os.str();
-
-  // FNV-1a 64.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const unsigned char c : form.bytes) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  form.hash = h;
+  form.hash = fnv1a64(form.bytes);
   return form;
 }
 

@@ -9,6 +9,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "support/bytes.hpp"
 #include "support/error.hpp"
 
 namespace dtop::service {
@@ -20,84 +21,41 @@ constexpr std::size_t kHeaderSize = sizeof(kCacheStoreMagic) + 4;
 // it can only be torn or corrupt framing.
 constexpr std::uint32_t kMaxPayload = 256u * 1024u * 1024u;
 
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-// Integers travel little-endian, fixed width: the store is a per-shard
-// local file, but a byte-stable format costs nothing and keeps the
-// robustness tests' hand-built fixtures portable.
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
+// Integers travel little-endian, fixed width (support/bytes.hpp): the store
+// is a per-shard local file, but a byte-stable format costs nothing and
+// keeps the robustness tests' hand-built fixtures portable. A string is a
+// u64 length and its bytes.
 void put_str(std::string& out, const std::string& s) {
-  put_u64(out, s.size());
+  put_u64le(out, s.size());
   out += s;
 }
 
-class Reader {
- public:
-  Reader(const char* data, std::size_t size) : data_(data), size_(size) {}
+bool take_str(ByteReader& r, std::string* s) {
+  std::uint64_t len = 0;
+  std::string_view v;
+  if (!r.u64le(len) || !r.bytes(len, v)) return false;
+  s->assign(v);
+  return true;
+}
 
-  bool u32(std::uint32_t* v) {
-    if (size_ - pos_ < 4) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(
-                static_cast<unsigned char>(data_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
+// Reads one frame head (u32 payload_len, u64 checksum) at `pos` and checks
+// that the whole payload is present. False on a torn or absurd frame.
+bool frame_at(const std::string& bytes, std::size_t pos, std::uint32_t* len,
+              std::uint64_t* checksum) {
+  ByteReader frame(std::string_view(bytes).substr(pos));
+  return frame.u32le(*len) && frame.u64le(*checksum) && *len <= kMaxPayload &&
+         frame.remaining() >= *len;
+}
 
-  bool u64(std::uint64_t* v) {
-    if (size_ - pos_ < 8) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(
-                static_cast<unsigned char>(data_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-
-  bool str(std::string* s) {
-    std::uint64_t len = 0;
-    if (!u64(&len) || size_ - pos_ < len) return false;
-    s->assign(data_ + pos_, len);
-    pos_ += len;
-    return true;
-  }
-
-  bool done() const { return pos_ == size_; }
-
- private:
-  const char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
-bool decode_record(const std::string& payload, CacheKey* key,
+bool decode_record(std::string_view payload, CacheKey* key,
                    CachedMap* value) {
-  Reader r(payload.data(), payload.size());
+  ByteReader r(payload);
   std::uint64_t n = 0, d = 0, e = 0, ticks = 0;
-  const bool ok = r.u64(&key->graph_hash) && r.str(&key->config) &&
-                  r.str(&value->label) && r.u64(&n) && r.u64(&d) &&
-                  r.u64(&e) && r.u64(&ticks) && r.u64(&value->messages) &&
-                  r.u64(&value->node_steps) && r.str(&value->map_text) &&
-                  r.done();
+  const bool ok = r.u64le(key->graph_hash) && take_str(r, &key->config) &&
+                  take_str(r, &value->label) && r.u64le(n) && r.u64le(d) &&
+                  r.u64le(e) && r.u64le(ticks) && r.u64le(value->messages) &&
+                  r.u64le(value->node_steps) &&
+                  take_str(r, &value->map_text) && r.done();
   if (!ok) return false;
   value->n = static_cast<NodeId>(n);
   value->d = static_cast<std::uint32_t>(d);
@@ -111,14 +69,12 @@ bool decode_record(const std::string& payload, CacheKey* key,
 std::size_t valid_prefix_end(const std::string& bytes) {
   std::size_t pos = kHeaderSize;
   while (pos < bytes.size()) {
-    Reader frame(bytes.data() + pos, bytes.size() - pos);
     std::uint32_t len = 0;
     std::uint64_t checksum = 0;
-    if (!frame.u32(&len) || !frame.u64(&checksum) || len > kMaxPayload ||
-        bytes.size() - pos - 12 < len) {
+    if (!frame_at(bytes, pos, &len, &checksum) ||
+        fnv1a64(std::string_view(bytes).substr(pos + 12, len)) != checksum) {
       break;
     }
-    if (fnv1a(bytes.substr(pos + 12, len)) != checksum) break;
     pos += 12 + len;
   }
   return pos;
@@ -126,7 +82,7 @@ std::size_t valid_prefix_end(const std::string& bytes) {
 
 std::string header_bytes() {
   std::string h(kCacheStoreMagic, sizeof(kCacheStoreMagic));
-  put_u32(h, kCacheStoreVersion);
+  put_u32le(h, kCacheStoreVersion);
   return h;
 }
 
@@ -150,20 +106,20 @@ bool write_all(int fd, const std::string& data) {
 
 std::string encode_cache_record(const CacheKey& key, const CachedMap& value) {
   std::string payload;
-  put_u64(payload, key.graph_hash);
+  put_u64le(payload, key.graph_hash);
   put_str(payload, key.config);
   put_str(payload, value.label);
-  put_u64(payload, value.n);
-  put_u64(payload, value.d);
-  put_u64(payload, value.e);
-  put_u64(payload, static_cast<std::uint64_t>(value.ticks));
-  put_u64(payload, value.messages);
-  put_u64(payload, value.node_steps);
+  put_u64le(payload, value.n);
+  put_u64le(payload, value.d);
+  put_u64le(payload, value.e);
+  put_u64le(payload, static_cast<std::uint64_t>(value.ticks));
+  put_u64le(payload, value.messages);
+  put_u64le(payload, value.node_steps);
   put_str(payload, value.map_text);
 
   std::string record;
-  put_u32(record, static_cast<std::uint32_t>(payload.size()));
-  put_u64(record, fnv1a(payload));
+  put_u32le(record, static_cast<std::uint32_t>(payload.size()));
+  put_u64le(record, fnv1a64(payload));
   record += payload;
   return record;
 }
@@ -194,11 +150,7 @@ CacheStore::CacheStore(const std::string& path, std::ostream& warn)
       in.gcount() == static_cast<std::streamsize>(kHeaderSize) &&
       std::memcmp(head.data(), kCacheStoreMagic, sizeof(kCacheStoreMagic)) ==
           0 &&
-      [&] {
-        std::uint32_t version = 0;
-        Reader r(head.data() + sizeof(kCacheStoreMagic), 4);
-        return r.u32(&version) && version == kCacheStoreVersion;
-      }();
+      load_u32le(head.data() + sizeof(kCacheStoreMagic)) == kCacheStoreVersion;
   if (!compatible) {
     warn << "dtopd: cache store '" << path
          << "' has an unknown header (different version?) — persistence "
@@ -274,35 +226,33 @@ std::size_t CacheStore::load(
          << std::flush;
     return 0;
   }
-  {
-    std::uint32_t version = 0;
-    Reader r(bytes.data() + sizeof(kCacheStoreMagic), 4);
-    if (!r.u32(&version) || version != kCacheStoreVersion) {
-      warn << "dtopd: cache store '" << path << "' has version " << version
-           << " (this build reads " << kCacheStoreVersion
-           << ") — skipping it\n"
-           << std::flush;
-      return 0;
-    }
+  const std::uint32_t version =
+      load_u32le(bytes.data() + sizeof(kCacheStoreMagic));
+  if (version != kCacheStoreVersion) {
+    warn << "dtopd: cache store '" << path << "' has version " << version
+         << " (this build reads " << kCacheStoreVersion
+         << ") — skipping it\n"
+         << std::flush;
+    return 0;
   }
 
   std::size_t count = 0;
   std::size_t pos = kHeaderSize;
   while (pos < bytes.size()) {
-    Reader frame(bytes.data() + pos, bytes.size() - pos);
     std::uint32_t len = 0;
     std::uint64_t checksum = 0;
-    if (!frame.u32(&len) || !frame.u64(&checksum) || len > kMaxPayload ||
-        bytes.size() - pos - 12 < len) {
+    if (!frame_at(bytes, pos, &len, &checksum)) {
       warn << "dtopd: cache store '" << path << "' has a truncated record at "
            << pos << " — keeping the " << count << " records before it\n"
            << std::flush;
       return count;
     }
-    const std::string payload = bytes.substr(pos + 12, len);
+    const std::string_view payload =
+        std::string_view(bytes).substr(pos + 12, len);
     CacheKey key;
     CachedMap value;
-    if (fnv1a(payload) != checksum || !decode_record(payload, &key, &value)) {
+    if (fnv1a64(payload) != checksum ||
+        !decode_record(payload, &key, &value)) {
       warn << "dtopd: cache store '" << path << "' has a corrupt record at "
            << pos << " — keeping the " << count << " records before it\n"
            << std::flush;

@@ -8,10 +8,12 @@
 // Durability posture: the store must survive a SIGKILL mid-append without
 // ever poisoning a restart. Each record is framed as
 //
-//   u32 payload_len | u64 fnv1a(payload) | payload
+//   u32 payload_len | u64 fnv1a64(payload) | payload
 //
-// behind an 8-byte magic + u32 version header, and append() hands the
-// kernel one complete pwrite-sized buffer per record. A torn tail (the
+// behind an 8-byte magic + u32 version header. Integers are little-endian;
+// the hash and the integer codecs are support/bytes.hpp's, shared with the
+// DTR2 trace container. append() hands the kernel one complete
+// pwrite-sized buffer per record. A torn tail (the
 // process died inside the write) fails the length or checksum check, and
 // load() keeps every record before it, warns, and stops — never throws on
 // file *content*. A file with an unknown magic or version is skipped in

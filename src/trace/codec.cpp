@@ -44,15 +44,6 @@ TraceCodec default_trace_codec() {
 #endif
 }
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char ch : bytes) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 // --- dlz: the built-in byte-oriented LZ codec ------------------------------
 //
 // Token stream. Each token is one control byte T:

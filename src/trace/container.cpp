@@ -4,7 +4,6 @@
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <string_view>
 
 namespace dtop::trace {
@@ -22,38 +21,6 @@ constexpr char kTrailerMagic[4] = {'2', 'R', 'T', 'D'};
 // above anything the writer produces (blocks are a few thousand events).
 constexpr std::uint64_t kMaxFrameRaw = std::uint64_t{256} << 20;
 
-void append_u64le(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-std::uint64_t load_u64le(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= std::uint64_t{static_cast<unsigned char>(p[i])} << (8 * i);
-  }
-  return v;
-}
-
-// Buffer-side varint: same encoding and overflow rules as trace_io's
-// stream reader.
-std::uint64_t take_varint(std::string_view buf, std::size_t& pos) {
-  std::uint64_t v = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    if (pos >= buf.size()) {
-      throw TraceError("trace truncated: torn frame");
-    }
-    const auto b = static_cast<std::uint8_t>(buf[pos++]);
-    if (shift == 63 && (b & 0x7E)) {
-      throw TraceError("trace corrupt: varint overflows 64 bits");
-    }
-    v |= std::uint64_t{b & 0x7Fu} << shift;
-    if (!(b & 0x80)) return v;
-  }
-  throw TraceError("trace corrupt: varint longer than 10 bytes");
-}
-
 struct Frame {
   std::uint8_t kind = 0;
   std::uint64_t raw_size = 0;
@@ -64,18 +31,17 @@ struct Frame {
 
 // Parses and checksums the frame at `pos`. Throws TraceError when the
 // frame is torn, claims an absurd size, or fails its checksum.
+// `pos` is at most buf.size(): callers pass scan positions inside the
+// buffer or index offsets already checked against the footer.
 Frame parse_frame(std::string_view buf, std::size_t pos) {
+  ByteReader in(buf.substr(pos));
   Frame f;
-  if (pos >= buf.size()) {
-    throw TraceError("trace truncated: torn frame");
+  std::uint64_t stored_size = 0;
+  std::uint8_t codec_byte = 0;
+  if (!in.u8(f.kind) || !in.varint(f.raw_size) || !in.varint(stored_size) ||
+      !in.u8(codec_byte)) {
+    throw TraceError("trace truncated or corrupt: torn frame head");
   }
-  f.kind = static_cast<std::uint8_t>(buf[pos++]);
-  f.raw_size = take_varint(buf, pos);
-  const std::uint64_t stored_size = take_varint(buf, pos);
-  if (pos >= buf.size()) {
-    throw TraceError("trace truncated: torn frame");
-  }
-  const auto codec_byte = static_cast<std::uint8_t>(buf[pos++]);
   if (codec_byte >= kNumTraceCodecs) {
     throw TraceError("trace corrupt: unknown codec id");
   }
@@ -83,16 +49,11 @@ Frame parse_frame(std::string_view buf, std::size_t pos) {
   if (f.raw_size > kMaxFrameRaw || stored_size > kMaxFrameRaw) {
     throw TraceError("trace corrupt: frame size out of range");
   }
-  if (buf.size() - pos < 8) {
+  std::uint64_t want = 0;
+  if (!in.u64le(want) || !in.bytes(stored_size, f.stored)) {
     throw TraceError("trace truncated: torn frame");
   }
-  const std::uint64_t want = load_u64le(buf.data() + pos);
-  pos += 8;
-  if (stored_size > buf.size() - pos) {
-    throw TraceError("trace truncated: torn frame");
-  }
-  f.stored = buf.substr(pos, static_cast<std::size_t>(stored_size));
-  f.end = pos + static_cast<std::size_t>(stored_size);
+  f.end = pos + in.pos();
   if (fnv1a64(f.stored) != want) {
     throw TraceError("trace corrupt: frame checksum mismatch");
   }
@@ -120,9 +81,9 @@ Dtr2Writer::Dtr2Writer(std::ostream& os, const TraceHeader& header,
   prologue.push_back(static_cast<char>(opts_.codec));
   os_.write(prologue.data(), static_cast<std::streamsize>(prologue.size()));
   offset_ = prologue.size();
-  std::ostringstream hs;
-  write_header_tail(hs, header);
-  write_frame(kFrameHeader, hs.str());
+  std::string hs;
+  write_header(hs, header);
+  write_frame(kFrameHeader, hs);
 }
 
 std::uint64_t Dtr2Writer::write_frame(std::uint8_t kind,
@@ -143,7 +104,7 @@ std::uint64_t Dtr2Writer::write_frame(std::uint8_t kind,
   put_varint(head, raw.size());
   put_varint(head, stored->size());
   head.push_back(static_cast<char>(stored_codec));
-  append_u64le(head, fnv1a64(*stored));
+  put_u64le(head, fnv1a64(*stored));
   const std::uint64_t at = offset_;
   os_.write(head.data(), static_cast<std::streamsize>(head.size()));
   os_.write(stored->data(), static_cast<std::streamsize>(stored->size()));
@@ -159,9 +120,7 @@ void Dtr2Writer::write(const TraceEvent& ev) {
     block_first_tick_ = ev.tick;
     block_last_tick_ = 0;  // blocks are independently decodable
   }
-  std::ostringstream rec;
-  write_event_record(rec, ev, block_last_tick_);
-  block_ += rec.str();
+  write_event_record(block_, ev, block_last_tick_);
   last_tick_ = ev.tick;
   ++block_event_count_;
   ++total_events_;
@@ -197,7 +156,7 @@ void Dtr2Writer::finish() {
   }
   const std::uint64_t footer_at = write_frame(kFrameIndex, idx);
   std::string trailer;
-  append_u64le(trailer, footer_at);
+  put_u64le(trailer, footer_at);
   trailer.append(kTrailerMagic, sizeof kTrailerMagic);
   os_.write(trailer.data(), static_cast<std::streamsize>(trailer.size()));
   os_.flush();
@@ -215,46 +174,31 @@ void write_trace_dtr2(std::ostream& os, const RecordedTrace& trace,
 // --- reader ----------------------------------------------------------------
 
 TraceFile::TraceFile(std::istream& is) {
-  char magic[4];
-  is.read(magic, sizeof magic);
-  if (is.gcount() != sizeof magic) {
-    throw TraceError("not a dtop trace: bad magic (want \"DTR1\"/\"DTR2\")");
+  // The whole stream, straight into buf_: in_avail() sizes the first read
+  // when the stream knows its length (string streams, regular files), and
+  // the buffer doubles for pipes that do not.
+  std::streambuf& sb = *is.rdbuf();
+  buf_.resize(
+      static_cast<std::size_t>(std::max<std::streamsize>(sb.in_avail(), 0)) +
+      4096);
+  std::size_t n = 0;
+  for (;;) {
+    n += static_cast<std::size_t>(
+        sb.sgetn(buf_.data() + n,
+                 static_cast<std::streamsize>(buf_.size() - n)));
+    if (n < buf_.size()) break;
+    buf_.resize(2 * buf_.size());
   }
-  if (std::equal(magic, magic + sizeof magic, kTrace2Magic)) {
-    format_ = Format::kDtr2;
-    init_dtr2(is);
-  } else if (std::equal(magic, magic + sizeof magic, kTraceMagic)) {
-    format_ = Format::kDtr1;
-    init_dtr1(is);
-  } else {
-    throw TraceError("not a dtop trace: bad magic (want \"DTR1\"/\"DTR2\")");
+  buf_.resize(n);
+  if (buf_.compare(0, sizeof kTrace2Magic, kTrace2Magic,
+                   sizeof kTrace2Magic) != 0) {
+    if (buf_.compare(0, 4, "DTR1") == 0) {
+      throw TraceError(
+          "unsupported trace: DTR1 files are no longer read (re-record "
+          "the run to get a DTR2 file)");
+    }
+    throw TraceError("not a dtop trace: bad magic (want \"DTR2\")");
   }
-}
-
-void TraceFile::init_dtr1(std::istream& is) {
-  header_ = read_header_tail(is);
-  Block b;
-  b.decoded = true;
-  Tick lt = 0;
-  TraceEvent ev;
-  while (read_event_record(is, ev, lt)) {
-    ++kind_counts_[static_cast<std::size_t>(ev.kind)];
-    b.cache.push_back(ev);
-  }
-  b.events = b.cache.size();
-  if (!b.cache.empty()) {
-    b.first_tick = b.cache.front().tick;
-    last_tick_ = b.cache.back().tick;
-  }
-  total_events_ = b.events;
-  blocks_.push_back(std::move(b));
-}
-
-void TraceFile::init_dtr2(std::istream& is) {
-  buf_.assign(kTrace2Magic, sizeof kTrace2Magic);
-  std::ostringstream rest;
-  rest << is.rdbuf();
-  buf_ += rest.str();
   if (buf_.size() < kPrologueSize) {
     throw TraceError("trace truncated: torn DTR2 prologue");
   }
@@ -275,9 +219,9 @@ void TraceFile::init_dtr2(std::istream& is) {
     throw TraceError("trace corrupt: DTR2 header frame missing");
   }
   const std::string raw = codec_decompress(hf.codec, hf.stored, hf.raw_size);
-  std::istringstream hs(raw);
-  header_ = read_header_tail(hs);
-  if (hs.peek() != std::char_traits<char>::eof()) {
+  ByteReader hs(raw);
+  header_ = read_header(hs);
+  if (!hs.done()) {
     throw TraceError("trace corrupt: trailing bytes in header frame");
   }
   if (!try_load_index()) scan_frames(hf.end);
@@ -296,43 +240,46 @@ bool TraceFile::try_load_index() {
     const Frame f = parse_frame(buf_, static_cast<std::size_t>(foot));
     if (f.kind != kFrameIndex || f.end != tpos) return false;
     const std::string raw = codec_decompress(f.codec, f.stored, f.raw_size);
-    std::size_t p = 0;
-    const std::uint64_t total = take_varint(raw, p);
-    const std::uint64_t lt = take_varint(raw, p);
-    if (lt > static_cast<std::uint64_t>(std::numeric_limits<Tick>::max())) {
+    ByteReader in(raw);
+    std::uint64_t total = 0, lt = 0, kinds = 0, nblocks = 0;
+    if (!in.varint(total) || !in.varint(lt) ||
+        lt > static_cast<std::uint64_t>(std::numeric_limits<Tick>::max()) ||
+        !in.varint(kinds) || kinds != kNumTraceEventKinds) {
       return false;
     }
-    if (take_varint(raw, p) != kNumTraceEventKinds) return false;
     std::array<std::uint64_t, kNumTraceEventKinds> counts{};
     std::uint64_t counts_sum = 0;
     for (auto& c : counts) {
-      c = take_varint(raw, p);
+      if (!in.varint(c)) return false;
       counts_sum += c;
     }
-    const std::uint64_t nblocks = take_varint(raw, p);
+    if (!in.varint(nblocks)) return false;
     if (nblocks > buf_.size()) return false;  // each block frame is >1 byte
     std::vector<Block> blocks;
     blocks.reserve(static_cast<std::size_t>(nblocks));
     std::uint64_t off = 0, first_event = 0;
     std::uint64_t ft = 0;
     for (std::uint64_t i = 0; i < nblocks; ++i) {
-      const std::uint64_t off_delta = take_varint(raw, p);
+      std::uint64_t off_delta = 0, tick_delta = 0;
+      Block b;
+      if (!in.varint(off_delta) || !in.varint(b.events) ||
+          !in.varint(tick_delta)) {
+        return false;
+      }
       if (i > 0 && off_delta == 0) return false;  // offsets must increase
       off += off_delta;
-      Block b;
-      b.offset = off;
-      b.events = take_varint(raw, p);
-      ft += take_varint(raw, p);
+      ft += tick_delta;
       if (ft > static_cast<std::uint64_t>(std::numeric_limits<Tick>::max())) {
         return false;
       }
+      b.offset = off;
       b.first_tick = static_cast<Tick>(ft);
       b.first_event = first_event;
       first_event += b.events;
       if (b.offset < kPrologueSize || b.offset >= foot) return false;
       blocks.push_back(std::move(b));
     }
-    if (p != raw.size()) return false;
+    if (!in.done()) return false;
     if (first_event != total || counts_sum != total) return false;
     blocks_ = std::move(blocks);
     total_events_ = total;
@@ -394,7 +341,7 @@ const std::vector<TraceEvent>& TraceFile::block_events(std::size_t i) {
     throw TraceError("trace corrupt: index points at a non-event frame");
   }
   const std::string raw = codec_decompress(f.codec, f.stored, f.raw_size);
-  std::istringstream rs(raw);
+  ByteReader rs(raw);
   std::vector<TraceEvent> evs;
   evs.reserve(static_cast<std::size_t>(b.events));
   Tick lt = 0;
@@ -464,7 +411,7 @@ RecordedTrace TraceFile::read_all() {
     const std::vector<TraceEvent>& evs = block_events(i);
     if (!evs.empty()) {
       // Within a block the delta coding forces tick order; across blocks a
-      // crafted file could rewind time, which DTR1 cannot express.
+      // crafted file could rewind time.
       if (evs.front().tick < prev) {
         throw TraceError("trace corrupt: blocks out of tick order");
       }
@@ -473,13 +420,6 @@ RecordedTrace TraceFile::read_all() {
     t.events.insert(t.events.end(), evs.begin(), evs.end());
   }
   return t;
-}
-
-RecordedTrace read_trace_dtr2_after_magic(std::istream& is) {
-  TraceFile f;
-  f.format_ = TraceFile::Format::kDtr2;
-  f.init_dtr2(is);
-  return f.read_all();
 }
 
 }  // namespace dtop::trace

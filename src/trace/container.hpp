@@ -1,4 +1,5 @@
-// The DTR2 trace container: DTR1's event encoding wrapped in framed,
+// The DTR2 trace container, the one on-disk trace format: the header and
+// event-record encodings of trace/trace_io.hpp wrapped in framed,
 // checksummed, optionally compressed blocks, plus a seek index so range
 // reads decode only the blocks they touch.
 //
@@ -23,11 +24,11 @@
 //                   frame
 //     magic         "2RTD" (4 bytes)
 //
-// The header frame is always first and its raw payload is exactly DTR1's
-// header tail (trace_io.hpp: write_header_tail). An event block's raw
-// payload is a run of DTR1 event records with the tick-delta baseline reset
-// to 0, so every block is independently decodable. The index frame's raw
-// payload:
+// The header frame is always first and its raw payload is the trace header
+// (trace_io.hpp: write_header). An event block's raw payload is a run of
+// event records (trace_io.hpp: write_event_record) with the tick-delta
+// baseline reset to 0, so every block is independently decodable. The index
+// frame's raw payload:
 //
 //   total_events varint
 //   last_tick    varint
@@ -41,12 +42,13 @@
 // Robustness contract: the trailer and index are advisory — when they are
 // missing, damaged, or fail validation the reader falls back to a
 // sequential frame scan, so a file whose writer died after its last
-// complete frame still reads (yielding a prefix of the run, same as a
-// truncated DTR1). The scan also forgives a trailing remnant of at most
+// complete frame still reads (yielding a prefix of the run). The scan also forgives a trailing remnant of at most
 // trailer size (12 bytes; no complete frame is that small). A torn frame,
 // a checksum mismatch, or an unknown frame kind anywhere else is a
 // TraceError: blocks are individually checksummed, so whatever a
-// successful read returns is bytes the writer produced.
+// successful read returns is bytes the writer produced. Files of the
+// retired scan-only DTR1 format are rejected with a TraceError that says
+// so.
 #pragma once
 
 #include <array>
@@ -109,30 +111,25 @@ class Dtr2Writer {
   bool finished_ = false;
 };
 
-// Whole-trace convenience twin of write_trace: frames, compresses, and
-// indexes `trace` as DTR2. Flushes and throws Error on stream failure.
+// Whole-trace convenience wrapper: frames, compresses, and indexes `trace`
+// as DTR2. Flushes and throws Error on stream failure.
 void write_trace_dtr2(std::ostream& os, const RecordedTrace& trace,
                       Dtr2Options opts = {});
 
 // A trace file opened for random access. Buffers the raw bytes (so it
 // works on pipes), parses the header eagerly, and decompresses event
-// blocks only when a read touches them. Also accepts DTR1 files — those
-// decode eagerly as one implicit block, so every accessor below works on
-// either format and `dtopctl trace` subcommands need no format switches.
+// blocks only when a read touches them.
 class TraceFile {
  public:
-  // Sniffs the 4-byte magic and parses either format. Throws TraceError on
-  // malformed input.
+  // Reads the whole stream and parses the prologue, header frame and index.
+  // Throws TraceError on malformed input.
   explicit TraceFile(std::istream& is);
 
-  enum class Format { kDtr1, kDtr2 };
-
-  Format format() const { return format_; }
   const TraceHeader& header() const { return header_; }
-  // The writer's preferred codec (DTR2 header byte); kRaw for DTR1.
+  // The writer's preferred codec (the prologue's codec byte).
   TraceCodec file_codec() const { return file_codec_; }
-  // True when the footer index was present and valid; false for DTR1 and
-  // for scan-fallback reads (whose stats are computed, not trusted).
+  // True when the footer index was present and valid; false for
+  // scan-fallback reads (whose stats are computed, not trusted).
   bool indexed() const { return indexed_; }
 
   std::uint64_t num_events() const { return total_events_; }
@@ -142,7 +139,7 @@ class TraceFile {
   }
   std::size_t num_blocks() const { return blocks_.size(); }
   // Event blocks decompressed so far — the "seek reads stay lazy" test
-  // hook. DTR1 decodes have no blocks and never increment it.
+  // hook.
   int blocks_decoded() const { return blocks_decoded_; }
 
   // Events [begin, begin + count) by global event index, clamped to the
@@ -165,29 +162,19 @@ class TraceFile {
     std::vector<TraceEvent> cache;
   };
 
-  // For read_trace_dtr2_after_magic, which enters with the magic consumed.
-  TraceFile() = default;
-  friend RecordedTrace read_trace_dtr2_after_magic(std::istream& is);
-
-  void init_dtr1(std::istream& is);
-  void init_dtr2(std::istream& is);
   bool try_load_index();
   void scan_frames(std::size_t events_begin);
   const std::vector<TraceEvent>& block_events(std::size_t i);
 
-  Format format_ = Format::kDtr1;
   TraceHeader header_;
   TraceCodec file_codec_ = TraceCodec::kRaw;
   bool indexed_ = false;
-  std::string buf_;  // DTR2 only: the whole file, offsets are absolute
+  std::string buf_;  // the whole file; offsets are absolute
   std::vector<Block> blocks_;
   std::uint64_t total_events_ = 0;
   Tick last_tick_ = 0;
   std::array<std::uint64_t, kNumTraceEventKinds> kind_counts_{};
   int blocks_decoded_ = 0;
 };
-
-// read_trace's DTR2 branch: the stream is positioned just past the magic.
-RecordedTrace read_trace_dtr2_after_magic(std::istream& is);
 
 }  // namespace dtop::trace

@@ -62,8 +62,8 @@ void corpus_add(CorpusSummary& s, const std::string& path,
 // the end.
 void corpus_finalize(CorpusSummary& s);
 
-// Scans `dir` recursively for *.dtrace files (both DTR1 and DTR2 read
-// fine), folding each into the summary; unreadable or corrupt files become
+// Scans `dir` recursively for *.dtrace files, folding each into the
+// summary; unreadable, corrupt or retired-format (DTR1) files become
 // failures, not errors, so one bad capture cannot hide the rest of the
 // warehouse. Throws Error when `dir` itself is not a directory.
 CorpusSummary scan_corpus(const std::string& dir);

@@ -1,51 +1,55 @@
-// The dtop-trace binary format (version 1) and its streaming reader/writer.
+// The dtop-trace record encodings: the trace header and the event records,
+// as they appear inside the frames of a DTR2 file (trace/container.hpp).
 //
-// Layout (all multi-byte integers are LEB128 varints; single bytes are raw):
+// Header (all multi-byte integers are LEB128 varints; single bytes are raw):
 //
-//   header:
-//     magic   "DTR1" (4 bytes)
-//     version u8 (= 1)
-//     root    varint
-//     delta   u8
-//     nodes   varint
-//     slots   varint                  wire-id space incl. tombstones
-//     per slot: u8 live? then         from varint, out_port u8,
-//               (live only)           to varint, in_port u8
-//     snake_delay / loop_delay / token_delay   varints
+//   version u8 (= 1)
+//   root    varint
+//   delta   u8
+//   nodes   varint
+//   slots   varint                  wire-id space incl. tombstones
+//   per slot: u8 live? then         from varint, out_port u8,
+//             (live only)           to varint, in_port u8
+//   snake_delay / loop_delay / token_delay   varints
 //
-//   events, until EOF:
-//     kind       u8 (TraceEventKind)
-//     tick_delta varint               tick - previous event's tick
-//     fields per kind (see trace_event.hpp), characters encoded as a
-//     presence-bitmap varint followed by the bytes of each present lane
+// Event record:
+//
+//   kind       u8 (TraceEventKind)
+//   tick_delta varint               tick - previous event's tick
+//   fields per kind (see trace_event.hpp), characters encoded as a
+//   presence-bitmap varint followed by the bytes of each present lane
 //
 // The header embeds the full network, so a trace file is self-contained:
 // replay needs nothing but the file. Ticks are non-decreasing by
-// construction, which is what makes delta coding valid — the reader rejects
-// nothing else about ordering. A trace may end without a kRunEnd record:
-// that is the on-disk shape of a run that died mid-tick (protocol
-// violation), and the reader treats any event boundary as a clean EOF.
-// Truncation *inside* an event raises TraceError.
+// construction, which is what makes delta coding valid. A trace may end
+// without a kRunEnd record: that is the on-disk shape of a run that died
+// mid-tick (protocol violation), so a record boundary is a clean end.
+// Truncation *inside* a record raises TraceError.
+//
+// Writers append to a std::string, readers walk a ByteReader
+// (support/bytes.hpp); files are read and written only by the container.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "graph/port_graph.hpp"
+#include "support/bytes.hpp"
 #include "support/error.hpp"
 #include "trace/trace_event.hpp"
 
 namespace dtop::trace {
 
 // Thrown on malformed trace bytes: bad magic, unknown version, truncated
-// event, out-of-range field.
+// record, out-of-range field.
 class TraceError : public Error {
  public:
   explicit TraceError(std::string what) : Error(std::move(what)) {}
 };
 
-inline constexpr char kTraceMagic[4] = {'D', 'T', 'R', '1'};
+// The header's own version byte (the container has a separate one).
 inline constexpr std::uint8_t kTraceVersion = 1;
 
 struct TraceHeader {
@@ -66,66 +70,26 @@ struct RecordedTrace {
   bool operator==(const RecordedTrace&) const = default;
 };
 
-// Varint primitives, exposed for the format tests.
-void put_varint(std::string& out, std::uint64_t v);
-// Appends the encoded bytes of `v` to `os`.
-void write_varint(std::ostream& os, std::uint64_t v);
-// Reads one varint; throws TraceError on EOF or an over-long encoding.
-std::uint64_t read_varint(std::istream& is);
-
 // Character codec, exposed for the format tests.
-void write_character(std::ostream& os, const Character& c);
-Character read_character(std::istream& is);
+void write_character(std::string& out, const Character& c);
+Character read_character(ByteReader& in);
 
-// Single-event record codec, exposed for the DTR2 container
-// (trace/container.hpp): an event record is byte-identical in a DTR1 stream
-// and inside a DTR2 block. `last_tick` is the tick-delta baseline and is
+// Single-event record codec. `last_tick` is the tick-delta baseline and is
 // advanced to ev.tick; a DTR2 block resets it to 0, which is what makes a
-// block independently decodable. read_event_record returns false on a clean
-// EOF at a record boundary and throws TraceError on truncation inside one.
-void write_event_record(std::ostream& os, const TraceEvent& ev,
+// block independently decodable. read_event_record returns false when the
+// reader is exhausted at a record boundary and throws TraceError on
+// truncation inside one.
+void write_event_record(std::string& out, const TraceEvent& ev,
                         Tick& last_tick);
-bool read_event_record(std::istream& is, TraceEvent& ev, Tick& last_tick);
+bool read_event_record(ByteReader& in, TraceEvent& ev, Tick& last_tick);
 
-// Header serialization minus the 4-byte magic (version byte + fields),
-// shared verbatim by DTR1 and the DTR2 header block.
-void write_header_tail(std::ostream& os, const TraceHeader& h);
-TraceHeader read_header_tail(std::istream& is);
+// Header codec: the raw payload of a DTR2 header frame.
+void write_header(std::string& out, const TraceHeader& h);
+TraceHeader read_header(ByteReader& in);
 
-// Streaming writer: emits the header on construction, then one event per
-// write(). Events must arrive in non-decreasing tick order.
-class TraceWriter {
- public:
-  TraceWriter(std::ostream& os, const TraceHeader& header);
-  void write(const TraceEvent& ev);
-
- private:
-  std::ostream& os_;
-  Tick last_tick_ = 0;
-};
-
-// Streaming reader: parses and validates the header on construction, then
-// yields events until EOF. next() returns false at a clean end-of-stream.
-class TraceReader {
- public:
-  explicit TraceReader(std::istream& is);
-
-  const TraceHeader& header() const { return header_; }
-  bool next(TraceEvent& ev);
-
- private:
-  std::istream& is_;
-  TraceHeader header_;
-  Tick last_tick_ = 0;
-};
-
-// Whole-trace convenience wrappers. write_trace emits DTR1 (the
-// uncompressed scan-only format; use trace/container.hpp's write_trace_dtr2
-// for the compressed indexed container); it flushes and throws Error when
-// the stream ends up in a failed state, so a full disk is loud, not a
-// silently truncated file. read_trace sniffs the magic and accepts both
-// DTR1 and DTR2 files.
-void write_trace(std::ostream& os, const RecordedTrace& trace);
+// The whole trace of a DTR2 file, materialized: TraceFile(is).read_all().
+// Throws TraceError on malformed input, including the retired DTR1 format.
+// Writing is trace/container.hpp's write_trace_dtr2.
 RecordedTrace read_trace(std::istream& is);
 
 }  // namespace dtop::trace

@@ -19,6 +19,7 @@
 #include "service/cache_store.hpp"
 #include "service/result_cache.hpp"
 #include "service/service.hpp"
+#include "support/bytes.hpp"
 #include "support/rng.hpp"
 
 namespace dtop::service {
@@ -114,6 +115,16 @@ TEST(CacheStore, RoundTripsEveryFieldAcrossARestart) {
   EXPECT_EQ(warn.str(), "");
   EXPECT_EQ(load_all(path).count, 4u);
   ::unlink(path.c_str());
+}
+
+// Byte identity across code changes: a store written by an older build must
+// load, and a newer build must append records an older one can read. The
+// length and FNV-1a 64 of one framed record were computed before the byte
+// layer moved to support/bytes.hpp.
+TEST(CacheStore, RecordBytesArePinned) {
+  const std::string record = encode_cache_record(sample_key(0), sample_value(0));
+  EXPECT_EQ(record.size(), 165u);
+  EXPECT_EQ(fnv1a64(record), 0x7f398367da5e9922ull);
 }
 
 TEST(CacheStore, MissingFileIsACleanColdStart) {

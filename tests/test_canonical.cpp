@@ -155,6 +155,19 @@ TEST(CanonicalForm, OrderIsTheCanonicalRanking) {
   }
 }
 
+// Byte identity across code changes: the canonical hash is the dtopd cache
+// key and the cluster's routing key, so a refactor of the serializer or the
+// hash must leave these values alone (computed before the byte layer moved
+// to support/bytes.hpp).
+TEST(CanonicalForm, HashIsPinned) {
+  EXPECT_EQ(canonical_hash(make_family("debruijn", 16, 1).graph, 0),
+            0x5b8a14561df5888bull);
+  EXPECT_EQ(canonical_hash(make_family("torus", 16, 1).graph, 0),
+            0x52df13c976f1ce8bull);
+  EXPECT_EQ(canonical_hash(make_family("treeloop", 15, 1).graph, 0),
+            0x43903b1f898f6091ull);
+}
+
 TEST(Families, DirectedRingShape) {
   const PortGraph g = directed_ring(6);
   EXPECT_EQ(g.num_nodes(), 6u);

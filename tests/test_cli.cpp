@@ -13,6 +13,7 @@
 #include "graph/families.hpp"
 #include "graph/graph_io.hpp"
 #include "trace/codec.hpp"
+#include "trace/container.hpp"
 #include "trace/trace_io.hpp"
 
 namespace dtop::cli {
@@ -521,7 +522,7 @@ TEST(CliMain, TraceDiffPinpointsPerturbedTick) {
   t.events[victim].payload.set_kill(true);
   {
     std::ofstream os(b_path, std::ios::binary);
-    trace::write_trace(os, t);
+    trace::write_trace_dtr2(os, t);
   }
 
   // Identical traces diff clean (exit 0); the perturbed pair exits 1 and
@@ -588,7 +589,7 @@ TEST(CliMain, TraceInspectSurvivesInconsistentSpanStreams) {
   const std::string path = temp_path("bad_spans.dtrace");
   {
     std::ofstream os(path, std::ios::binary);
-    trace::write_trace(os, t);
+    trace::write_trace_dtr2(os, t);
   }
   std::ostringstream out, err;
   EXPECT_EQ(cli_main({"trace", "inspect", "--trace", path}, out, err), 0);
@@ -633,8 +634,7 @@ TEST(CliMain, SweepTraceDirCapturesFailedJobs) {
 TEST(CliParse, TraceWarehouseFlagSets) {
   const TraceOptions rec = parse_trace_args(
       {"record", "--family", "torus", "--nodes", "9", "--out", "t.dtrace",
-       "--format", "dtr1", "--codec", "raw"});
-  EXPECT_EQ(rec.format, "dtr1");
+       "--codec", "raw"});
   EXPECT_EQ(rec.codec, "raw");
 
   const TraceOptions ex = parse_trace_args(
@@ -643,7 +643,7 @@ TEST(CliParse, TraceWarehouseFlagSets) {
   EXPECT_EQ(ex.action, "extract");
   EXPECT_EQ(ex.from_tick, 10);
   EXPECT_EQ(ex.to_tick, 20);
-  EXPECT_EQ(ex.format, "dtr2");  // the default container
+  EXPECT_EQ(ex.codec, "");  // the build's default codec
 
   const TraceOptions sp = parse_trace_args(
       {"splice", "--trace", "a", "--donor", "d", "--out", "b", "--from-event",
@@ -690,7 +690,8 @@ TEST(CliParse, TraceWarehouseRejections) {
                UsageError);
   EXPECT_THROW(parse_trace_args({"inspect", "--trace", "x", "--dir", "y"}),
                UsageError);
-  // container flags are validated at parse time
+  // --format is gone (DTR2 is the only container); --codec is validated at
+  // parse time
   EXPECT_THROW(parse_trace_args({"record", "--family", "torus", "--out", "t",
                                  "--format", "dtr3"}),
                UsageError);
@@ -702,13 +703,45 @@ TEST(CliParse, TraceWarehouseRejections) {
                                    "t", "--codec", "zstd"}),
                  UsageError);
   }
-  // --format/--codec are writer flags; inspect has no use for them
+  // --codec is a writer flag; inspect has no use for it
   EXPECT_THROW(parse_trace_args({"inspect", "--trace", "x", "--format",
                                  "dtr1"}),
                UsageError);
+  EXPECT_THROW(parse_trace_args({"inspect", "--trace", "x", "--codec",
+                                 "raw"}),
+               UsageError);
 }
 
-TEST(CliMain, TraceRecordWritesBothContainers) {
+// DTR2 is the only container, so the old --format switch is gone from every
+// trace-writing action: even its former default is an unknown flag.
+TEST(CliParse, TraceFormatFlagIsAUsageError) {
+  const std::vector<std::vector<std::string>> writers = {
+      {"record", "--family", "torus", "--nodes", "9", "--out", "t"},
+      {"extract", "--trace", "a", "--out", "b"},
+      {"splice", "--trace", "a", "--donor", "d", "--out", "b"},
+      {"overwrite", "--trace", "a", "--out", "b", "--scenario", "dfs@10"},
+  };
+  for (std::vector<std::string> args : writers) {
+    (void)parse_trace_args(args);  // valid without the flag
+    args.push_back("--format");
+    args.push_back("dtr2");
+    try {
+      (void)parse_trace_args(args);
+      FAIL() << "expected UsageError for 'trace " << args[0] << " --format'";
+    } catch (const UsageError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown flag '--format'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  std::ostringstream out, err;
+  EXPECT_EQ(cli_main({"trace", "record", "--family", "torus", "--nodes", "9",
+                      "--out", temp_path("fmt.dtrace"), "--format", "dtr2"},
+                     out, err),
+            2);
+}
+
+TEST(CliMain, TraceRecordWritesBothCodecs) {
   const std::string p2 = temp_path("fmt2.dtrace");
   const std::string p1 = temp_path("fmt1.dtrace");
   std::ostringstream out, err;
@@ -718,7 +751,7 @@ TEST(CliMain, TraceRecordWritesBothContainers) {
             0)
       << err.str();
   ASSERT_EQ(cli_main({"trace", "record", "--family", "debruijn", "--nodes",
-                      "8", "--format", "dtr1", "--out", p1},
+                      "8", "--codec", "raw", "--out", p1},
                      out, err),
             0)
       << err.str();
@@ -730,9 +763,10 @@ TEST(CliMain, TraceRecordWritesBothContainers) {
   EXPECT_NE(i2.str().find("indexed"), std::string::npos);
   EXPECT_EQ(cli_main({"trace", "inspect", "--trace", p1, "--summary"}, i1, e),
             0);
-  EXPECT_NE(i1.str().find("DTR1"), std::string::npos) << i1.str();
+  EXPECT_NE(i1.str().find("DTR2/raw"), std::string::npos) << i1.str();
+  EXPECT_LT(std::filesystem::file_size(p2), std::filesystem::file_size(p1));
 
-  // Same run, both containers: the payload decodes identically.
+  // Same run, both codecs: the payload decodes identically.
   std::ostringstream dout, derr;
   EXPECT_EQ(cli_main({"trace", "diff", "--a", p1, "--b", p2}, dout, derr), 0)
       << dout.str();
@@ -839,7 +873,7 @@ TEST(CliMain, TraceCorpusAggregatesADirectory) {
                      out, err),
             0);
   ASSERT_EQ(cli_main({"trace", "record", "--family", "torus", "--nodes", "9",
-                      "--format", "dtr1", "--out", dir + "/nested/b.dtrace"},
+                      "--codec", "raw", "--out", dir + "/nested/b.dtrace"},
                      out, err),
             0);
   ASSERT_EQ(cli_main({"trace", "record", "--family", "debruijn", "--nodes",

@@ -158,6 +158,31 @@ TEST(DispatcherRouting, RingSplitsKeysAcrossShards) {
   EXPECT_TRUE(saw[1]);
 }
 
+// Byte identity across code changes: the ring points and the raw-line
+// fallback key are FNV-1a 64, so a cluster restarted on a new build routes
+// every request to the shard that already cached it. Offline, like the test
+// above; the values were computed before the byte layer moved to
+// support/bytes.hpp.
+TEST(DispatcherRouting, ShardKeysAndOwnersArePinned) {
+  DispatcherOptions opt;
+  opt.sockets = {"/tmp/never-a.sock", "/tmp/never-b.sock",
+                 "/tmp/never-c.sock"};
+  Dispatcher d(opt);
+  EXPECT_EQ(d.shard_key("not json"), 0x5cf74153161a1a88ull);
+  EXPECT_EQ(d.shard_key(determine_line("debruijn", 16)),
+            0x5b8a14561df5888bull);
+  EXPECT_EQ(d.shard_key(R"({"op": "determine", "family": "torus", "nodes": 9})"),
+            0xe0d21816c70c09ddull);
+  EXPECT_EQ(d.shard_key(R"({"op": "stats"})"), 0x4ed491563e062e05ull);
+  EXPECT_EQ(d.owner_of(0x5cf74153161a1a88ull), 2u);
+  EXPECT_EQ(d.owner_of(0x5b8a14561df5888bull), 2u);
+  EXPECT_EQ(d.owner_of(0xe0d21816c70c09ddull), 1u);
+  EXPECT_EQ(d.owner_of(0), 0u);
+  EXPECT_EQ(d.owner_of(0x9e3779b97f4a7c15ull), 2u);
+  EXPECT_EQ(d.owner_of(0xdeadbeefcafef00dull), 1u);
+  EXPECT_EQ(d.owner_of(~std::uint64_t{0}), 0u);
+}
+
 TEST(DispatcherRouting, AllShardsDownIsAnErrorNotAHang) {
   DispatcherOptions opt;
   opt.sockets = {socket_path("nobody0"), socket_path("nobody1")};

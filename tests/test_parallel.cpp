@@ -10,7 +10,7 @@
 #include "graph/families.hpp"
 #include "graph/random_graph.hpp"
 #include "trace/duration_observer.hpp"
-#include "trace/trace_io.hpp"
+#include "trace/container.hpp"
 
 namespace dtop {
 namespace {
@@ -95,7 +95,9 @@ std::string record_trace_bytes(const PortGraph& g, NodeId root, int threads) {
   const GtdResult r = run_gtd(g, root, opt);
   EXPECT_EQ(r.status, RunStatus::kTerminated) << threads << " threads";
   std::ostringstream os;
-  trace::write_trace(os, rec.take());
+  trace::Dtr2Options opts;
+  opts.codec = trace::TraceCodec::kRaw;
+  trace::write_trace_dtr2(os, rec.take(), opts);
   return os.str();
 }
 

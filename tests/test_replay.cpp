@@ -11,6 +11,7 @@
 #include "graph/families.hpp"
 #include "runner/runner.hpp"
 #include "runner/scenario.hpp"
+#include "support/bytes.hpp"
 #include "trace/codec.hpp"
 #include "trace/container.hpp"
 #include "trace/trace_diff.hpp"
@@ -32,7 +33,9 @@ trace::RecordedTrace record_run(const PortGraph& g, int threads,
 
 std::string serialize(const trace::RecordedTrace& t) {
   std::stringstream ss;
-  trace::write_trace(ss, t);
+  trace::Dtr2Options opts;
+  opts.codec = trace::TraceCodec::kRaw;
+  trace::write_trace_dtr2(ss, t, opts);
   return ss.str();
 }
 
@@ -87,7 +90,7 @@ TEST(Replay, GoldenTraceDigestsArePinned) {
     trace::write_trace_dtr2(ss, t, opts);
     const std::string bytes = ss.str();
     EXPECT_EQ(bytes.size(), gold.bytes) << inst.label;
-    EXPECT_EQ(trace::fnv1a64(bytes), gold.fnv) << inst.label;
+    EXPECT_EQ(fnv1a64(bytes), gold.fnv) << inst.label;
   }
 }
 

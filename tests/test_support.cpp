@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "support/affinity.hpp"
+#include "support/bytes.hpp"
 #include "support/error.hpp"
 #include "support/fixed_vector.hpp"
 #include "support/rng.hpp"
@@ -16,6 +17,46 @@
 
 namespace dtop {
 namespace {
+
+// The published FNV-1a 64 test vectors: the offset basis for the empty
+// string, then two of the reference implementation's known answers.
+TEST(Bytes, Fnv1a64KnownAnswers) {
+  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
+}
+
+TEST(Bytes, LittleEndianIntsRoundTripThroughTheCursor) {
+  std::string buf;
+  put_u32le(buf, 0x01020304u);
+  put_u64le(buf, 0x0102030405060708ull);
+  ASSERT_EQ(buf.size(), 12u);
+  EXPECT_EQ(buf[0], 0x04);  // low byte first
+  EXPECT_EQ(buf[4], 0x08);
+  EXPECT_EQ(load_u32le(buf.data()), 0x01020304u);
+  EXPECT_EQ(load_u64le(buf.data() + 4), 0x0102030405060708ull);
+
+  ByteReader r(buf);
+  std::uint32_t a = 0;
+  std::uint64_t b = 0;
+  ASSERT_TRUE(r.u32le(a));
+  ASSERT_TRUE(r.u64le(b));
+  EXPECT_EQ(a, 0x01020304u);
+  EXPECT_EQ(b, 0x0102030405060708ull);
+  EXPECT_TRUE(r.done());
+
+  // A short read fails and leaves the cursor where it was.
+  ByteReader short_read(std::string_view(buf).substr(0, 7));
+  ASSERT_TRUE(short_read.u32le(a));
+  EXPECT_FALSE(short_read.u64le(b));
+  EXPECT_EQ(short_read.pos(), 4u);
+  std::string_view view;
+  EXPECT_FALSE(short_read.bytes(4, view));
+  ASSERT_TRUE(short_read.bytes(3, view));
+  EXPECT_EQ(view, std::string_view(buf).substr(4, 3));
+  std::uint8_t byte = 0;
+  EXPECT_FALSE(short_read.u8(byte));
+}
 
 TEST(FixedVector, PushPopIndex) {
   FixedVector<int, 4> v;

@@ -1,12 +1,14 @@
-// The dtop-trace binary format: varint and character codecs, header/graph
-// round-trips (tombstones included), streaming writer/reader, corruption
-// detection, and event-level diff.
+// The dtop-trace record encodings: the varint cursor they read with, the
+// character codec, header/graph round-trips (tombstones included), the
+// event-record codec through a DTR2 file, corruption detection, and
+// event-level diff.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <sstream>
 
 #include "graph/families.hpp"
+#include "trace/container.hpp"
 #include "trace/trace_diff.hpp"
 #include "trace/trace_io.hpp"
 
@@ -25,9 +27,15 @@ TEST(TraceVarint, RoundTripsBoundaryValues) {
                                   0x100000000ull,
                                   0x7FFFFFFFFFFFFFFFull,
                                   0xFFFFFFFFFFFFFFFFull};
-  std::stringstream ss;
-  for (const std::uint64_t v : values) write_varint(ss, v);
-  for (const std::uint64_t v : values) EXPECT_EQ(read_varint(ss), v);
+  std::string buf;
+  for (const std::uint64_t v : values) put_varint(buf, v);
+  ByteReader in(buf);
+  for (const std::uint64_t v : values) {
+    std::uint64_t back = 0;
+    ASSERT_TRUE(in.varint(back));
+    EXPECT_EQ(back, v);
+  }
+  EXPECT_TRUE(in.done());
 }
 
 TEST(TraceVarint, EncodingIsMinimalForSmallValues) {
@@ -43,9 +51,15 @@ TEST(TraceVarint, EncodingIsMinimalForSmallValues) {
 }
 
 TEST(TraceVarint, TruncationThrows) {
-  std::stringstream ss;
-  ss.put(static_cast<char>(0x80));  // continuation bit set, then EOF
-  EXPECT_THROW(read_varint(ss), TraceError);
+  const std::string cut(1, static_cast<char>(0x80));  // continuation, then end
+  ByteReader in(cut);
+  std::uint64_t v = 0;
+  EXPECT_FALSE(in.varint(v));
+  EXPECT_EQ(in.pos(), 0u);  // a failed read leaves the cursor in place
+  // A trace decoder turns the failed read into a TraceError: a character
+  // starts with its lane-bitmap varint.
+  ByteReader in2(cut);
+  EXPECT_THROW(read_character(in2), TraceError);
 }
 
 Character full_character() {
@@ -62,17 +76,19 @@ Character full_character() {
 }
 
 TEST(TraceCharacterCodec, RoundTripsAllLanes) {
-  std::stringstream ss;
-  write_character(ss, full_character());
-  write_character(ss, Character{});  // blank
-  EXPECT_EQ(read_character(ss), full_character());
-  EXPECT_EQ(read_character(ss), Character{});
+  std::string buf;
+  write_character(buf, full_character());
+  write_character(buf, Character{});  // blank
+  ByteReader in(buf);
+  EXPECT_EQ(read_character(in), full_character());
+  EXPECT_EQ(read_character(in), Character{});
+  EXPECT_TRUE(in.done());
 }
 
 TEST(TraceCharacterCodec, BlankIsOneByte) {
-  std::stringstream ss;
-  write_character(ss, Character{});
-  EXPECT_EQ(ss.str().size(), 1u);
+  std::string buf;
+  write_character(buf, Character{});
+  EXPECT_EQ(buf.size(), 1u);
 }
 
 // A lane's field is meaningful only while its presence bit is set: stale
@@ -87,10 +103,10 @@ TEST(TraceCharacterCodec, AbsentLaneBytesAreIgnored) {
   b.lanes = a.lanes;  // drop the three lanes, keep their bytes
   ASSERT_NE(std::memcmp(&a, &b, sizeof(Character)), 0);
   EXPECT_EQ(a, b);
-  std::stringstream sa, sb;
+  std::string sa, sb;
   write_character(sa, a);
   write_character(sb, b);
-  EXPECT_EQ(sa.str(), sb.str());
+  EXPECT_EQ(sa, sb);
 }
 
 // Every one of the 2^11 lane masks round-trips, and the encoded bitmap is
@@ -117,18 +133,21 @@ TEST(TraceCharacterCodec, EveryLaneMaskRoundTrips) {
     if (mask & kLaneDfs) c.set_dfs(DfsToken{port(8), kStarPort});
     ASSERT_EQ(c.lanes, mask);
 
-    std::stringstream ss;
-    write_character(ss, c);
-    EXPECT_EQ(read_varint(ss), mask);
-    ss.seekg(0);
-    const Character back = read_character(ss);
+    std::string buf;
+    write_character(buf, c);
+    std::uint64_t bitmap = 0;
+    ASSERT_TRUE(ByteReader(buf).varint(bitmap));
+    EXPECT_EQ(bitmap, mask);
+    ByteReader in(buf);
+    const Character back = read_character(in);
     EXPECT_EQ(back.lanes, mask);
     EXPECT_EQ(back, c) << "mask " << mask;
-    EXPECT_EQ(ss.peek(), std::char_traits<char>::eof()) << "mask " << mask;
+    EXPECT_TRUE(in.done()) << "mask " << mask;
   }
-  std::stringstream bad;
-  write_varint(bad, 1u << kNumLaneBits);
-  EXPECT_THROW(read_character(bad), TraceError);
+  std::string bad;
+  put_varint(bad, 1u << kNumLaneBits);
+  ByteReader in(bad);
+  EXPECT_THROW(read_character(in), TraceError);
 }
 
 RecordedTrace sample_trace() {
@@ -187,11 +206,24 @@ RecordedTrace sample_trace() {
   return t;
 }
 
+// Whole traces travel as DTR2; the raw codec keeps the event records
+// verbatim inside the frames.
+std::string encode(const RecordedTrace& t) {
+  std::stringstream ss;
+  Dtr2Options opts;
+  opts.codec = TraceCodec::kRaw;
+  write_trace_dtr2(ss, t, opts);
+  return ss.str();
+}
+
+RecordedTrace decode(const std::string& bytes) {
+  std::stringstream ss(bytes);
+  return read_trace(ss);
+}
+
 TEST(TraceIo, RoundTripsHeaderAndEvents) {
   const RecordedTrace t = sample_trace();
-  std::stringstream ss;
-  write_trace(ss, t);
-  const RecordedTrace back = read_trace(ss);
+  const RecordedTrace back = decode(encode(t));
   EXPECT_EQ(back.header, t.header);
   EXPECT_EQ(back.events, t.events);
   EXPECT_TRUE(back == t);
@@ -210,9 +242,7 @@ TEST(TraceIo, RoundTripsTombstonedGraph) {
 
   RecordedTrace t;
   t.header.graph = g;
-  std::stringstream ss;
-  write_trace(ss, t);
-  const RecordedTrace back = read_trace(ss);
+  const RecordedTrace back = decode(encode(t));
   EXPECT_EQ(back.header.graph, g);
   EXPECT_EQ(back.header.graph.wire_slots(), g.wire_slots());
   EXPECT_EQ(back.header.graph.num_wires(), g.num_wires());
@@ -224,52 +254,59 @@ TEST(TraceIo, BadMagicThrows) {
 }
 
 TEST(TraceIo, RejectsAbsurdNodeCountBeforeAllocating) {
-  // A ~20-byte crafted header must not be able to demand a multi-gigabyte
+  // A ~10-byte crafted header must not be able to demand a multi-gigabyte
   // graph allocation: the node count is bounded before PortGraph is built.
-  std::string bytes(kTraceMagic, sizeof kTraceMagic);
+  std::string bytes;
   bytes.push_back(static_cast<char>(kTraceVersion));
   put_varint(bytes, 0);              // root
   bytes.push_back(8);                // delta
   put_varint(bytes, 1ull << 30);     // nodes: absurd
   put_varint(bytes, 0);              // slots
-  std::stringstream ss(bytes);
-  EXPECT_THROW(read_trace(ss), TraceError);
+  ByteReader in(bytes);
+  EXPECT_THROW(read_header(in), TraceError);
 }
 
 TEST(TraceIo, RejectsAbsurdSlotCount) {
-  std::string bytes(kTraceMagic, sizeof kTraceMagic);
+  std::string bytes;
   bytes.push_back(static_cast<char>(kTraceVersion));
   put_varint(bytes, 0);              // root
   bytes.push_back(2);                // delta
   put_varint(bytes, 4);              // nodes
   put_varint(bytes, 1ull << 40);     // slots: absurd
-  std::stringstream ss(bytes);
-  EXPECT_THROW(read_trace(ss), TraceError);
+  ByteReader in(bytes);
+  EXPECT_THROW(read_header(in), TraceError);
 }
 
 TEST(TraceIo, TruncatedEventThrows) {
-  std::stringstream ss;
-  write_trace(ss, sample_trace());
-  const std::string bytes = ss.str();
+  std::string records;
+  Tick last = 0;
+  for (const TraceEvent& ev : sample_trace().events) {
+    write_event_record(records, ev, last);
+  }
   // Chop inside the final event (kRunEnd is kind + tick delta + status =
-  // 3 bytes here); a mid-event EOF must be loud, not a silent short read.
-  std::stringstream cut(bytes.substr(0, bytes.size() - 1));
-  EXPECT_THROW(read_trace(cut), TraceError);
+  // 3 bytes here); a mid-record end must be loud, not a silent short read.
+  ByteReader in(std::string_view(records).substr(0, records.size() - 1));
+  TraceEvent ev;
+  last = 0;
+  EXPECT_THROW(
+      {
+        while (read_event_record(in, ev, last)) {
+        }
+      },
+      TraceError);
 }
 
 TEST(TraceIo, EventStreamMayEndWithoutRunEnd) {
-  // A violation trace just stops; any event boundary is a clean EOF.
+  // A violation trace just stops; any record boundary is a clean end.
   RecordedTrace t = sample_trace();
   t.events.pop_back();  // drop kRunEnd
-  std::stringstream ss;
-  write_trace(ss, t);
-  const RecordedTrace back = read_trace(ss);
+  const RecordedTrace back = decode(encode(t));
   EXPECT_EQ(back.events.size(), t.events.size());
 }
 
 TEST(TraceIo, WriterRejectsTickRegression) {
   std::stringstream ss;
-  TraceWriter w(ss, TraceHeader{});
+  Dtr2Writer w(ss, TraceHeader{});
   TraceEvent ev;
   ev.kind = TraceEventKind::kNodeStep;
   ev.tick = 5;
