@@ -12,9 +12,9 @@
 #include "core/gtd.hpp"
 #include "graph/analysis.hpp"
 #include "graph/families.hpp"
-#include "trace/duration_observer.hpp"
 #include "runner/runner.hpp"
 #include "support/table.hpp"
+#include "trace/span_collector.hpp"
 
 namespace dtop::bench {
 
@@ -48,7 +48,7 @@ std::vector<runner::JobResult> run_family_sweep(
 // to trim the sweep so the JSON artifacts stay cheap to regenerate.
 std::vector<NodeId> default_sizes();
 
-// Engine thread count for wall-clock benches (E8/E10 single-workload rows):
+// Engine thread count for wall-clock benches (E10 single-workload rows):
 // the --threads value dtopctl bench forwards via DTOP_BENCH_THREADS, else
 // the env var directly, else 1. Committed baselines are recorded at the
 // default so rows stay comparable across boxes; the knob exists to

@@ -172,7 +172,7 @@ Table walltime_table(bool quick) {
     add_row(table, "flood-ring-4096", g, s);
   }
 
-  // Protocol realism: truncated GTD snake floods (the E8 dense workload at
+  // Protocol realism: truncated GTD snake floods (E1's dense workload at
   // scale). Transcript emission rides along, so steady_allocs here is the
   // transcript's deterministic amortized growth, not engine churn.
   const std::vector<int> gtd_ks = quick ? std::vector<int>{9, 12}

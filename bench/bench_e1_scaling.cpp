@@ -18,6 +18,60 @@ namespace {
 using namespace dtop;
 using namespace dtop::bench;
 
+// The engine's own workloads in model time: exact tick/message/step counts
+// of full runs on a de Bruijn graph and two rings, plus a truncated dense
+// flood. Wall-clock engine throughput is perfbench's question (full_run,
+// full_run_threads); these counts are deterministic, so the bench-json CI
+// job diffs them at tolerance 0.
+void print_model_time_table(BenchJson& json) {
+  Table table({"workload", "N", "D", "E", "ticks", "messages", "node_steps",
+               "avg_active"});
+  table.set_caption("E1: engine workloads (model time)");
+
+  const std::pair<const char*, PortGraph> full_runs[] = {
+      {"debruijn-64", de_bruijn(6)},
+      {"ring-32", directed_ring(32)},
+      {"ring-64", directed_ring(64)},
+  };
+  for (const auto& [label, g] : full_runs) {
+    const ProtocolRun run = run_verified(label, g, /*root=*/0);
+    table.row()
+        .cell(label)
+        .cell(static_cast<std::uint64_t>(run.n))
+        .cell(static_cast<std::uint64_t>(run.d))
+        .cell(static_cast<std::uint64_t>(run.e))
+        .cell(static_cast<std::uint64_t>(run.result.stats.ticks))
+        .cell(run.result.stats.messages)
+        .cell(run.result.stats.node_steps)
+        .cell(run.result.stats.avg_active(), 3);
+  }
+
+  // The dense-active-set workload: a truncated ccc-160 flood — a sample of
+  // the engine under snake floods, not a map, so its row reports the engine
+  // stats at the 20000-tick cutoff.
+  {
+    const PortGraph g = cube_connected_cycles(5);
+    GtdMachine::Config cfg;
+    Transcript t;
+    cfg.transcript = &t;
+    GtdEngine engine(g, 0, cfg, /*threads=*/1);
+    engine.schedule(0);
+    engine.run(20000);
+    table.row()
+        .cell("ccc-160-dense@20000")
+        .cell(static_cast<std::uint64_t>(g.num_nodes()))
+        .cell(static_cast<std::uint64_t>(diameter(g)))
+        .cell(static_cast<std::uint64_t>(g.num_wires()))
+        .cell(static_cast<std::uint64_t>(engine.stats().ticks))
+        .cell(engine.stats().messages)
+        .cell(engine.stats().node_steps)
+        .cell(engine.stats().avg_active(), 3);
+  }
+
+  table.print(std::cout);
+  json.add("engine_workloads", table);
+}
+
 void print_table() {
   BenchJson json("E1");
   const std::vector<std::string> families = {
@@ -61,6 +115,9 @@ void print_table() {
   }
   fits.print(std::cout);
   json.add("fits", fits);
+
+  std::cout << "\n";
+  print_model_time_table(json);
   json.write(std::cout);
 }
 

@@ -26,13 +26,13 @@ struct LoopSample {
 };
 
 // Duration observer that also captures the Section 4.2.1 phase boundaries.
-class PhaseObserver : public DurationObserver {
+class PhaseObserver : public trace::SpanCollector {
  public:
   struct Stamps {
     Tick og_head = 0, odt = 0, token_back = 0;
   };
   void on_rca_start(NodeId n, Tick t, bool fwd) override {
-    DurationObserver::on_rca_start(n, t, fwd);
+    SpanCollector::on_rca_start(n, t, fwd);
     stamps_.push_back({});
   }
   void on_rca_phase(NodeId, Tick t, RcaPhase p) override {

@@ -32,7 +32,7 @@ void print_table() {
                          .seed = 23}));
 
   for (const auto& [label, g] : workloads) {
-    DurationObserver obs;
+    trace::SpanCollector obs;
     GtdOptions opt;
     opt.observer = &obs;
     const ProtocolRun run = run_verified(label, g, 0, opt);

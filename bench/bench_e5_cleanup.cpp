@@ -39,7 +39,7 @@ void print_table() {
                          .seed = 29}));
 
   for (const auto& [label, g] : workloads) {
-    DurationObserver obs;
+    trace::SpanCollector obs;
     GtdOptions opt;
     opt.observer = &obs;
     const ProtocolRun run = run_verified(label, g, 0, opt);

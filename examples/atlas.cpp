@@ -21,21 +21,27 @@
 #include "graph/analysis.hpp"
 #include "graph/families.hpp"
 #include "graph/graph_io.hpp"
-#include "trace/duration_observer.hpp"
-#include "proto/trace.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
+#include "trace/recorder.hpp"
+#include "trace/span_collector.hpp"
+
+namespace {
+
+int usage() {
+  std::cerr << "usage: atlas <family> <size_hint> [seed] [--dot FILE] "
+               "[--graph FILE] [--map FILE] [--trace N]\nfamilies:";
+  for (const auto& f : dtop::family_names()) std::cerr << " " << f;
+  std::cerr << "\n";
+  return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace dtop;
 
-  if (argc < 3) {
-    std::cerr << "usage: atlas <family> <size_hint> [seed] [--dot FILE] "
-                 "[--graph FILE]\nfamilies:";
-    for (const auto& f : family_names()) std::cerr << " " << f;
-    std::cerr << "\n";
-    return 2;
-  }
+  if (argc < 3) return usage();
   const std::string family = argv[1];
   const NodeId size = static_cast<NodeId>(std::atoi(argv[2]));
   std::uint64_t seed = 1;
@@ -43,12 +49,16 @@ int main(int argc, char** argv) {
   Tick trace_ticks = 0;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--dot" && i + 1 < argc) dot_file = argv[++i];
-    else if (arg == "--graph" && i + 1 < argc) graph_file = argv[++i];
-    else if (arg == "--map" && i + 1 < argc) map_file = argv[++i];
-    else if (arg == "--trace" && i + 1 < argc)
-      trace_ticks = std::atoll(argv[++i]);
-    else seed = static_cast<std::uint64_t>(std::atoll(argv[i]));
+    if (arg.rfind("--", 0) != 0) {
+      seed = static_cast<std::uint64_t>(std::atoll(argv[i]));
+      continue;
+    }
+    if (i + 1 >= argc) return usage();  // every flag takes a value
+    if (arg == "--dot") dot_file = argv[++i];
+    else if (arg == "--graph") graph_file = argv[++i];
+    else if (arg == "--map") map_file = argv[++i];
+    else if (arg == "--trace") trace_ticks = std::atoll(argv[++i]);
+    else return usage();
   }
 
   const FamilyInstance fi = make_family(family, size, seed);
@@ -60,21 +70,34 @@ int main(int argc, char** argv) {
 
   if (trace_ticks > 0) {
     // Dedicated traced run (separate engine so the main run's statistics
-    // stay untouched by the observer).
+    // stay untouched by the recorder), printed as the recorder's wire sends
+    // grouped by tick.
     Transcript transcript;
     GtdMachine::Config cfg;
     cfg.transcript = &transcript;
     GtdEngine engine(net, 0, cfg);
+    trace::TraceRecorder rec;
+    rec.begin(net, 0, cfg.protocol);
+    engine.set_trace_sink(&rec);
     engine.schedule(0);
-    WireTrace trace(1, trace_ticks);
-    trace.attach(engine);
     for (Tick t = 0; t < trace_ticks; ++t) engine.step();
     std::cout << "wire activity, first " << trace_ticks << " ticks:\n";
-    trace.print(std::cout);
+    Tick shown = -1;
+    for (const trace::TraceEvent& ev : rec.events()) {
+      if (ev.kind != trace::TraceEventKind::kWireSend) continue;
+      if (ev.tick != shown) {
+        std::cout << "--- tick " << ev.tick << " ---\n";
+        shown = ev.tick;
+      }
+      const Wire& w = net.wire(ev.a);
+      std::cout << "  " << w.from << "[" << static_cast<int>(w.out_port)
+                << "] -> " << w.to << "[" << static_cast<int>(w.in_port)
+                << "]  " << to_string(ev.payload) << "\n";
+    }
     std::cout << "\n";
   }
 
-  DurationObserver obs;
+  trace::SpanCollector obs;
   GtdOptions opt;
   opt.observer = &obs;
   const GtdResult r = run_gtd(net, 0, opt);

@@ -50,7 +50,6 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -406,12 +405,6 @@ class SyncEngine {
   // sequentially on the stepping thread; see sim/trace_sink.hpp.
   void set_trace_sink(EngineTraceSink<Message>* sink) { trace_ = sink; }
 
-  // Invoked after every tick (sequentially); used by tests to audit global
-  // invariants the protocol is supposed to maintain.
-  void set_observer(std::function<void(SyncEngine&)> obs) {
-    observer_ = std::move(obs);
-  }
-
   // True when a character is in flight on wire w (sent this tick, readable
   // next tick). Used by end-state pristineness audits.
   bool wire_pending(WireId w) const {
@@ -572,8 +565,6 @@ class SyncEngine {
         metrics_->on_fork(chunk_ns, nw, metrics_shard_);
       }
     }
-
-    if (observer_) observer_(*this);
   }
 
   // Runs until the root machine terminates or the budget is exhausted.
@@ -670,7 +661,6 @@ class SyncEngine {
   const obs::EngineMetrics* metrics_ = nullptr;
   int metrics_shard_ = 0;
   ThreadPoolStats pool_park_mark_;
-  std::function<void(SyncEngine&)> observer_;
   EngineTraceSink<Message>* trace_ = nullptr;
 };
 

@@ -1,11 +1,16 @@
-// TraceRecorder: the one object that turns a live run into a RecordedTrace.
+// TraceRecorder: the one object that turns a live run into a RecordedTrace,
+// and the way to watch a run's wire traffic (`atlas --trace N` prints its
+// kWireSend events, grouped by tick).
 //
-// It plugs into all three observation channels at once:
+// It plugs into three of a run's four observation hooks at once (the fourth,
+// obs::EngineMetrics, times the engine and records no events):
 //   - engine events, as the engine's EngineTraceSink<Character>;
 //   - the root's transcript, as a TranscriptSink tap;
 //   - protocol spans, as a ProtoObserver (optional — observers require a
 //     single-threaded engine, and span events make a trace thread-count
 //     specific; attach this facet only for instrumentation traces).
+//     trace::SpanCollector turns the recorded span events into the same
+//     RCA/BCA spans it computes when attached live.
 //
 // run_gtd wires the first two up automatically when GtdOptions::trace is
 // set; pass the recorder as GtdOptions::observer as well to add spans.

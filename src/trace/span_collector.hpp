@@ -3,21 +3,23 @@
 // guarantees at most one RCA and one BCA in flight at any time, so
 // overlapping spans are a hard error.
 //
-// This is the single home of the span bookkeeping: the live DurationObserver
-// (trace/duration_observer.hpp) and offline consumers of recorded traces
-// (`dtopctl trace inspect`) both feed their events through here, so a span
-// computed after the fact from a trace file is bit-for-bit the span a live
-// observer would have measured.
+// This is the single home of the span bookkeeping, live and offline. Attached
+// as a run's ProtoObserver (GtdOptions::observer) it turns each callback into
+// the matching trace event; offline consumers of recorded traces (`dtopctl
+// trace inspect`) stream the recorded events through consume() instead. Both
+// paths run the same code, so a span computed after the fact from a trace
+// file is bit-for-bit the span measured live.
 #pragma once
 
 #include <vector>
 
+#include "proto/observer.hpp"
 #include "support/error.hpp"
 #include "trace/trace_event.hpp"
 
 namespace dtop::trace {
 
-class SpanCollector {
+class SpanCollector : public ProtoObserver {
  public:
   struct Span {
     NodeId node = kNoNode;
@@ -29,12 +31,14 @@ class SpanCollector {
     bool closed = false;
 
     Tick duration() const { return end - start; }
+    bool operator==(const Span&) const = default;
   };
 
   struct Erasure {
     NodeId node;
     Tick tick;
     bool bca_lane;
+    bool operator==(const Erasure&) const = default;
   };
 
   // Consumes one event; kinds without span semantics are ignored, so a full
@@ -73,11 +77,38 @@ class SpanCollector {
     }
   }
 
+  // ProtoObserver: the live path, one trace event per callback.
+  void on_rca_start(NodeId node, Tick now, bool forward) override {
+    consume(event(TraceEventKind::kRcaStart, node, now, forward ? 1 : 0));
+  }
+  void on_rca_complete(NodeId node, Tick now) override {
+    consume(event(TraceEventKind::kRcaComplete, node, now));
+  }
+  void on_bca_start(NodeId node, Tick now) override {
+    consume(event(TraceEventKind::kBcaStart, node, now));
+  }
+  void on_bca_complete(NodeId node, Tick now) override {
+    consume(event(TraceEventKind::kBcaComplete, node, now));
+  }
+  void on_grow_erased(NodeId node, Tick now, bool bca_lane) override {
+    consume(event(TraceEventKind::kGrowErased, node, now, bca_lane ? 1 : 0));
+  }
+
   const std::vector<Span>& rca() const { return rca_; }
   const std::vector<Span>& bca() const { return bca_; }
   const std::vector<Erasure>& erasures() const { return erasures_; }
 
  private:
+  static TraceEvent event(TraceEventKind kind, NodeId node, Tick now,
+                          std::uint8_t b = 0) {
+    TraceEvent ev;
+    ev.kind = kind;
+    ev.tick = now;
+    ev.a = node;
+    ev.b = b;
+    return ev;
+  }
+
   std::vector<Span> rca_, bca_;
   std::vector<Erasure> erasures_;
   bool rca_open_ = false, bca_open_ = false;

@@ -8,7 +8,8 @@
 #include "graph/analysis.hpp"
 #include "graph/families.hpp"
 #include "graph/random_graph.hpp"
-#include "trace/duration_observer.hpp"
+#include "run_audited.hpp"
+#include "trace/span_collector.hpp"
 
 namespace dtop {
 namespace {
@@ -16,7 +17,7 @@ namespace {
 TEST(Bca, EveryEdgeReturnsExactlyOnce) {
   const PortGraph g = random_strongly_connected(
       {.nodes = 13, .delta = 3, .avg_out_degree = 2.0, .seed = 31});
-  DurationObserver obs;
+  trace::SpanCollector obs;
   GtdOptions opt;
   opt.observer = &obs;
   const GtdResult r = run_gtd(g, 0, opt);
@@ -32,7 +33,7 @@ TEST(Bca, SelfLoopReturn) {
   g.connect(1, 0, 1, 1);  // self loop at node 1
   g.connect(1, 1, 2, 0);
   g.connect(2, 0, 0, 0);
-  DurationObserver obs;
+  trace::SpanCollector obs;
   GtdOptions opt;
   opt.observer = &obs;
   const GtdResult r = run_gtd(g, 0, opt);
@@ -49,7 +50,7 @@ TEST(Bca, DurationProportionalToReturnDistance) {
   std::vector<double> means;
   for (NodeId n : {8u, 16u, 32u}) {
     const PortGraph g = directed_ring(n);
-    DurationObserver obs;
+    trace::SpanCollector obs;
     GtdOptions opt;
     opt.observer = &obs;
     const GtdResult r = run_gtd(g, 0, opt);
@@ -68,7 +69,7 @@ TEST(Bca, ShortcutEdgesMakeCheapReturns) {
   std::vector<double> means;
   for (NodeId n : {8u, 16u, 32u}) {
     const PortGraph g = bidirectional_ring(n);
-    DurationObserver obs;
+    trace::SpanCollector obs;
     GtdOptions opt;
     opt.observer = &obs;
     const GtdResult r = run_gtd(g, 0, opt);
@@ -91,11 +92,12 @@ TEST(Bca, CleanAfterEachBca) {
   GtdEngine engine(g, 0, cfg);
   engine.schedule(0);
   int target_sightings = 0;
-  engine.set_observer([&](GtdEngine& e) {
+  const auto audit = [&](GtdEngine& e) {
     for (NodeId v = 0; v < e.graph().num_nodes(); ++v)
       if (e.machine(v).state().bca_marks.target) ++target_sightings;
-  });
-  ASSERT_EQ(engine.run(default_tick_budget(g)), RunStatus::kTerminated);
+  };
+  ASSERT_EQ(run_audited(engine, default_tick_budget(g), audit),
+            RunStatus::kTerminated);
   EXPECT_GT(target_sightings, 0);  // targets do get marked mid-protocol
   for (int i = 0; i < 8; ++i) engine.step();
   for (NodeId v = 0; v < g.num_nodes(); ++v) {

@@ -112,16 +112,6 @@ TEST(Engine, StagedMessageVisible) {
   EXPECT_EQ(e.staged_message(w12), nullptr);
 }
 
-TEST(Engine, ObserverRunsEveryTick) {
-  const PortGraph g = directed_ring(3);
-  SyncEngine<HopMachine> e(g, 0, {});
-  int calls = 0;
-  e.set_observer([&](SyncEngine<HopMachine>&) { ++calls; });
-  e.schedule(0);
-  for (int i = 0; i < 5; ++i) e.step();
-  EXPECT_EQ(calls, 5);
-}
-
 TEST(Engine, RootOutOfRangeRejected) {
   const PortGraph g = directed_ring(3);
   EXPECT_THROW((SyncEngine<HopMachine>(g, 7, {})), Error);

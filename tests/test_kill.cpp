@@ -10,7 +10,8 @@
 #include "core/gtd.hpp"
 #include "core/verify.hpp"
 #include "graph/families.hpp"
-#include "trace/duration_observer.hpp"
+#include "run_audited.hpp"
+#include "trace/span_collector.hpp"
 
 namespace dtop {
 namespace {
@@ -64,7 +65,7 @@ TEST(Kill, StragglerReErasureActuallyHappens) {
   bool double_erasure_seen = false;
   for (int chord_from : {4, 5, 6, 7}) {
     const PortGraph g = zombie_graph(14, chord_from, 2);
-    DurationObserver obs;
+    trace::SpanCollector obs;
     GtdOptions opt;
     opt.observer = &obs;
     const GtdResult r = run_gtd(g, 0, opt);
@@ -87,7 +88,7 @@ TEST(Kill, StragglerReErasureActuallyHappens) {
 }
 
 TEST(Kill, NetworkPristineBetweenRcas) {
-  // Observer invariant: whenever no RCA and no BCA is active anywhere, no
+  // Per-tick invariant: whenever no RCA and no BCA is active anywhere, no
   // processor may hold growing marks (Lemma 4.2 continuously, not just at
   // termination).
   const PortGraph g = zombie_graph(10, 8, 2);
@@ -97,7 +98,7 @@ TEST(Kill, NetworkPristineBetweenRcas) {
   GtdEngine engine(g, 0, cfg);
   engine.schedule(0);
   bool violation = false;
-  engine.set_observer([&](GtdEngine& e) {
+  const auto audit = [&](GtdEngine& e) {
     bool busy = false;
     for (NodeId v = 0; v < e.graph().num_nodes(); ++v) {
       const GtdState& st = e.machine(v).state();
@@ -110,8 +111,9 @@ TEST(Kill, NetworkPristineBetweenRcas) {
       for (const auto& m : st.grow)
         if (m.visited) violation = true;
     }
-  });
-  ASSERT_EQ(engine.run(default_tick_budget(g)), RunStatus::kTerminated);
+  };
+  ASSERT_EQ(run_audited(engine, default_tick_budget(g), audit),
+            RunStatus::kTerminated);
   EXPECT_FALSE(violation);
 }
 
@@ -125,13 +127,11 @@ TEST(Kill, KillExtinctionWithinLoopTraversal) {
   cfg.transcript = &transcript;
   GtdEngine engine(g, 0, cfg);
   engine.schedule(0);
-  DurationObserver obs;
-  // Hook the observer in via config? The engine is already built; use the
-  // post-tick audit instead: when the previous RCA just ended (some node's
-  // rca_phase returned to idle this tick), growing chars must be gone.
+  // Per-tick audit: when the previous RCA just ended (some node's rca_phase
+  // returned to idle this tick), growing chars must be gone.
   bool violation = false;
   std::vector<RcaPhase> prev(g.num_nodes(), RcaPhase::kIdle);
-  engine.set_observer([&](GtdEngine& e) {
+  const auto audit = [&](GtdEngine& e) {
     for (NodeId v = 0; v < e.graph().num_nodes(); ++v) {
       const RcaPhase now = e.machine(v).state().rca_phase;
       if (prev[v] != RcaPhase::kIdle && now == RcaPhase::kIdle) {
@@ -151,8 +151,9 @@ TEST(Kill, KillExtinctionWithinLoopTraversal) {
       }
       prev[v] = now;
     }
-  });
-  ASSERT_EQ(engine.run(default_tick_budget(g)), RunStatus::kTerminated);
+  };
+  ASSERT_EQ(run_audited(engine, default_tick_budget(g), audit),
+            RunStatus::kTerminated);
   EXPECT_FALSE(violation);
 }
 

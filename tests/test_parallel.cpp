@@ -9,7 +9,7 @@
 #include "core/verify.hpp"
 #include "graph/families.hpp"
 #include "graph/random_graph.hpp"
-#include "trace/duration_observer.hpp"
+#include "trace/span_collector.hpp"
 #include "trace/container.hpp"
 
 namespace dtop {
@@ -76,7 +76,7 @@ TEST(ParallelEngine, ManyThreadsMoreThanNodes) {
 
 TEST(ParallelEngine, ObserverRequiresSingleThread) {
   const PortGraph g = directed_ring(3);
-  DurationObserver obs;
+  trace::SpanCollector obs;
   GtdOptions opt;
   opt.observer = &obs;
   opt.num_threads = 2;

@@ -8,12 +8,14 @@
 #include "graph/canonical.hpp"
 #include "graph/families.hpp"
 #include "graph/random_graph.hpp"
-#include "trace/duration_observer.hpp"
+#include "run_audited.hpp"
+#include "trace/span_collector.hpp"
 
 namespace dtop {
 namespace {
 
-GtdResult run_with(const PortGraph& g, NodeId root, DurationObserver& obs) {
+GtdResult run_with(const PortGraph& g, NodeId root,
+                   trace::SpanCollector& obs) {
   GtdOptions opt;
   opt.observer = &obs;
   GtdResult r = run_gtd(g, root, opt);
@@ -27,7 +29,7 @@ TEST(Rca, CountsMatchEdgeAccounting) {
   // non-root node triggers a BACK RCA; each return is one BCA. The root's
   // own records are piped without network RCAs.
   const PortGraph g = de_bruijn(3);
-  DurationObserver obs;
+  trace::SpanCollector obs;
   const GtdResult r = run_with(g, 0, obs);
   const std::size_t e = g.num_wires();
   const auto in_root = static_cast<std::size_t>(g.in_degree(0));
@@ -39,11 +41,11 @@ TEST(Rca, CountsMatchEdgeAccounting) {
 }
 
 TEST(Rca, SerializationNeverOverlaps) {
-  // DurationObserver throws on overlap; surviving the run is the assertion.
+  // SpanCollector throws on overlap; surviving the run is the assertion.
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const PortGraph g = random_strongly_connected(
         {.nodes = 14, .delta = 3, .avg_out_degree = 2.0, .seed = seed});
-    DurationObserver obs;
+    trace::SpanCollector obs;
     run_with(g, 0, obs);
     // Spans must be disjoint and ordered.
     for (std::size_t i = 1; i < obs.rca().size(); ++i)
@@ -60,7 +62,7 @@ TEST(Rca, DurationProportionalToLoopLength) {
   std::vector<double> sizes, means;
   for (NodeId n : {8u, 16u, 32u}) {
     const PortGraph g = directed_ring(n);
-    DurationObserver obs;
+    trace::SpanCollector obs;
     run_with(g, 0, obs);
     double sum = 0, mn = 1e18, mx = 0;
     for (const auto& s : obs.rca()) {
@@ -83,13 +85,13 @@ TEST(Rca, DurationProportionalToLoopLength) {
 }
 
 // Collects the per-phase timestamps of every RCA.
-class PhaseObserver : public DurationObserver {
+class PhaseObserver : public trace::SpanCollector {
  public:
   struct Phases {
     Tick start = 0, og_head = 0, odt = 0, token_back = 0, done = 0;
   };
   void on_rca_start(NodeId n, Tick t, bool fwd) override {
-    DurationObserver::on_rca_start(n, t, fwd);
+    SpanCollector::on_rca_start(n, t, fwd);
     phases_.push_back(Phases{t, 0, 0, 0, 0});
   }
   void on_rca_phase(NodeId, Tick t, RcaPhase p) override {
@@ -98,7 +100,7 @@ class PhaseObserver : public DurationObserver {
     if (p == RcaPhase::kWaitUnmark) phases_.back().token_back = t;
   }
   void on_rca_complete(NodeId n, Tick t) override {
-    DurationObserver::on_rca_complete(n, t);
+    SpanCollector::on_rca_complete(n, t);
     phases_.back().done = t;
   }
   const std::vector<Phases>& phases() const { return phases_; }
@@ -170,7 +172,7 @@ TEST(Rca, ForwardTokenCarriesDfsEdge) {
 }
 
 TEST(Rca, RootPhaseReopensAfterEveryRca) {
-  // Engine observer: whenever no RCA is in flight, the root must be open.
+  // Per-tick audit: whenever no RCA is in flight, the root must be open.
   const PortGraph g = directed_ring(5);
   Transcript transcript;
   GtdMachine::Config cfg;
@@ -178,15 +180,16 @@ TEST(Rca, RootPhaseReopensAfterEveryRca) {
   GtdEngine engine(g, 0, cfg);
   engine.schedule(0);
   bool always_consistent = true;
-  engine.set_observer([&](GtdEngine& e) {
+  const auto audit = [&](GtdEngine& e) {
     bool any_rca = false;
     for (NodeId v = 0; v < e.graph().num_nodes(); ++v)
       if (e.machine(v).state().rca_phase != RcaPhase::kIdle) any_rca = true;
     const RootPhase rp = e.machine(0).state().root_phase;
     // When the root is mid-conversion an RCA must exist somewhere.
     if (rp != RootPhase::kOpen && !any_rca) always_consistent = false;
-  });
-  ASSERT_EQ(engine.run(default_tick_budget(g)), RunStatus::kTerminated);
+  };
+  ASSERT_EQ(run_audited(engine, default_tick_budget(g), audit),
+            RunStatus::kTerminated);
   EXPECT_TRUE(always_consistent);
 }
 
@@ -200,11 +203,12 @@ TEST(Rca, LoopMarksConfinedToLoop) {
   GtdEngine engine(g, 0, cfg);
   engine.schedule(0);
   std::vector<int> marked_ticks(g.num_nodes(), 0);
-  engine.set_observer([&](GtdEngine& e) {
+  const auto audit = [&](GtdEngine& e) {
     for (NodeId v = 0; v < e.graph().num_nodes(); ++v)
       if (e.machine(v).state().loop.any()) ++marked_ticks[v];
-  });
-  ASSERT_EQ(engine.run(default_tick_budget(g)), RunStatus::kTerminated);
+  };
+  ASSERT_EQ(run_audited(engine, default_tick_budget(g), audit),
+            RunStatus::kTerminated);
   // On a ring every node lies on every RCA loop, so everyone got marked at
   // some point...
   for (NodeId v = 0; v < g.num_nodes(); ++v) EXPECT_GT(marked_ticks[v], 0);

@@ -9,11 +9,13 @@
 
 #include "core/gtd.hpp"
 #include "graph/families.hpp"
+#include "graph/random_graph.hpp"
 #include "runner/runner.hpp"
 #include "runner/scenario.hpp"
 #include "support/bytes.hpp"
 #include "trace/codec.hpp"
 #include "trace/container.hpp"
+#include "trace/span_collector.hpp"
 #include "trace/trace_diff.hpp"
 #include "trace/trace_io.hpp"
 
@@ -207,6 +209,35 @@ TEST(Replay, ReplaysSpanTracesByAttachingTheObserverFacet) {
   const ReplayResult r = replay_gtd(t, 1);
   EXPECT_TRUE(r.ok) << r.detail;
   EXPECT_THROW(replay_gtd(t, 8), Error);  // observers are single-threaded
+}
+
+TEST(Replay, LiveSpansMatchSpansCollectedFromASpanRecording) {
+  // One span bookkeeping, two feeds: a SpanCollector attached live must
+  // report exactly the spans and erasures collect_spans() derives from a
+  // --spans recording (recorder as trace sink and observer) of the same run.
+  const PortGraph graphs[] = {
+      directed_ring(9),
+      random_strongly_connected(
+          {.nodes = 16, .delta = 3, .avg_out_degree = 2.0, .seed = 5})};
+  for (const PortGraph& g : graphs) {
+    trace::SpanCollector live;
+    GtdOptions live_opt;
+    live_opt.observer = &live;
+    ASSERT_EQ(run_gtd(g, 0, live_opt).status, RunStatus::kTerminated);
+
+    trace::TraceRecorder rec;
+    GtdOptions rec_opt;
+    rec_opt.trace = &rec;
+    rec_opt.observer = &rec;
+    ASSERT_EQ(run_gtd(g, 0, rec_opt).status, RunStatus::kTerminated);
+    const trace::SpanCollector offline = trace::collect_spans(rec.events());
+
+    EXPECT_FALSE(live.rca().empty());
+    EXPECT_FALSE(live.bca().empty());
+    EXPECT_EQ(live.rca(), offline.rca());
+    EXPECT_EQ(live.bca(), offline.bca());
+    EXPECT_EQ(live.erasures(), offline.erasures());
+  }
 }
 
 TEST(Replay, CatchesCodeBehaviourViaConfigMismatch) {
