@@ -69,8 +69,8 @@ void GtdMachine::enqueue_snake(SnakeLane lane, const SnakeChar& ch, Route route,
   st_.outq.push_back(ps);
 }
 
-void GtdMachine::write_snake(Ctx& ctx, Port port, SnakeLane lane,
-                             const SnakeChar& ch) {
+inline void GtdMachine::write_snake(Ctx& ctx, Port port, SnakeLane lane,
+                                    const SnakeChar& ch) {
   Character& m = ctx.out(port);
   if (is_grow_lane(lane)) {
     const int i = index_of(grow_of(lane));
@@ -83,7 +83,7 @@ void GtdMachine::write_snake(Ctx& ctx, Port port, SnakeLane lane,
   }
 }
 
-void GtdMachine::emit_snake(Ctx& ctx, const PendingSnake& ps) {
+inline void GtdMachine::emit_snake(Ctx& ctx, const PendingSnake& ps) {
   switch (ps.route) {
     case Route::kPort:
       write_snake(ctx, ps.port, ps.lane, ps.ch);

@@ -104,8 +104,11 @@ class GtdMachine {
 
   // --- gtd_machine.cpp
   void emit_pending(Ctx& ctx);
-  void emit_snake(Ctx& ctx, const PendingSnake& ps);
-  void write_snake(Ctx& ctx, Port port, SnakeLane lane, const SnakeChar& ch);
+  // Inline (defined in gtd_machine.cpp, used only there) so both fold into
+  // emit_pending; they run 0.75 and 1.6 times per node step.
+  inline void emit_snake(Ctx& ctx, const PendingSnake& ps);
+  inline void write_snake(Ctx& ctx, Port port, SnakeLane lane,
+                          const SnakeChar& ch);
   void enqueue_snake(SnakeLane lane, const SnakeChar& ch, Route route,
                      Port port, int delay);
   void emit_event(Ctx& ctx, TranscriptEvent::Kind kind, Port out = kNoPort,

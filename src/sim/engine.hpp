@@ -22,9 +22,11 @@
 //
 // Wire occupancy is a hierarchical bitmap (detail::WireBitmap): one bit per
 // wire at level 0, one summary bit per 64-wire word at level 1, one per
-// 64 l1-words at level 2. Staging a send is an idempotent relaxed fetch_or;
-// the per-tick receiver scan walks only the set summary words, consuming 64
-// wires per load. Determinism at any thread count falls out of three facts:
+// 64 l1-words at level 2. Staging a send is an idempotent OR: a plain one on
+// unforked ticks, a relaxed atomic fetch_or on forked ticks, where pool
+// workers stage into the same bitmap. The per-tick receiver scan walks only
+// the set summary words, consuming 64 wires per load. Determinism at any
+// thread count falls out of three facts:
 // (a) the bitmap is an OR-accumulator, so the staged *set* is independent of
 // worker interleaving; (b) each wire has exactly one source node, stepped by
 // exactly one worker, so the fresh-vs-resend decision for a wire is made by
@@ -83,26 +85,36 @@ inline std::size_t bitmap_words(std::size_t bits) {
   return bits == 0 ? 1 : (bits + 63) / 64;
 }
 
+// ORs `bits` into *p and returns the old word: a relaxed atomic fetch_or
+// when `shared` (pool workers stage into the same bitmap), a plain
+// read-modify-write otherwise.
+inline std::uint64_t or_word(std::uint64_t* p, std::uint64_t bits,
+                             bool shared) {
+  if (shared) return __atomic_fetch_or(p, bits, __ATOMIC_RELAXED);
+  const std::uint64_t old = *p;
+  *p = old | bits;
+  return old;
+}
+
 // Stages wire w (idempotent OR), returning true iff the bit was clear —
-// i.e. this is the wire's first send of the tick. Safe to call from pool
-// workers concurrently: the bitmap is an OR-accumulator, and only the
-// worker stepping w's unique source node ever touches w's bit, so the
-// relaxed pre-load deciding "already staged" is race-free and the
-// fresh/resend outcome is deterministic. Exactly one staging per word
-// observes the 0 -> nonzero transition and publishes the summary bits.
-inline bool wire_stage(WireBitmap& b, WireId w) {
+// i.e. this is the wire's first send of the tick. With `shared` set (a
+// forked tick) it is safe to call from pool workers concurrently: the
+// bitmap is an OR-accumulator, and only the worker stepping w's unique
+// source node ever touches w's bit, so the relaxed pre-load deciding
+// "already staged" is race-free and the fresh/resend outcome is
+// deterministic. Exactly one staging per word observes the 0 -> nonzero
+// transition and publishes the summary bits. Without `shared` (an unforked
+// tick, or between ticks) the ORs are plain: same bits, no lock prefix.
+inline bool wire_stage(WireBitmap& b, WireId w, bool shared) {
   std::uint64_t* word = b.l0 + (w >> 6);
   const std::uint64_t bit = std::uint64_t{1} << (w & 63);
   if (__atomic_load_n(word, __ATOMIC_RELAXED) & bit) return false;
-  const std::uint64_t old = __atomic_fetch_or(word, bit, __ATOMIC_RELAXED);
-  if (old == 0) {
+  if (or_word(word, bit, shared) == 0) {
     const std::size_t i0 = w >> 6;
-    const std::uint64_t old1 = __atomic_fetch_or(
-        b.l1 + (i0 >> 6), std::uint64_t{1} << (i0 & 63), __ATOMIC_RELAXED);
-    if (old1 == 0)
-      __atomic_fetch_or(b.l2 + (i0 >> 12),
-                        std::uint64_t{1} << ((i0 >> 6) & 63),
-                        __ATOMIC_RELAXED);
+    if (or_word(b.l1 + (i0 >> 6), std::uint64_t{1} << (i0 & 63), shared) ==
+        0)
+      or_word(b.l2 + (i0 >> 12), std::uint64_t{1} << ((i0 >> 6) & 63),
+              shared);
   }
   return true;
 }
@@ -194,9 +206,10 @@ struct EngineOptions {
   // boxes and hurts oversubscribed ones.
   bool pin_threads = false;
 
-  // Minimum active nodes per worker before a tick forks across the pool;
-  // 0 = kDefaultParallelGrain. Bench E10's calibration table records how
-  // the default was chosen.
+  // Fork threshold: a tick forks across the pool iff it has at least
+  // 2 * parallel_grain active nodes, whatever the pool size (it is not a
+  // per-worker minimum); 0 = kDefaultParallelGrain. Bench E10's calibration
+  // table records how the default was chosen.
   std::size_t parallel_grain = 0;
 
   // Spin budget of the tick barrier before parking; < 0 = pool default.
@@ -228,13 +241,14 @@ class StepContext {
 
   // Staged output character for out-port p (created blank on first use).
   // Requires the port to be connected. The common resend path (wire already
-  // carries a staged character this tick) is a single relaxed load and bit
-  // test against the wire bitmap.
+  // carries a staged character this tick) is a single load and bit test
+  // against the wire bitmap; a first send sets the bit plainly on unforked
+  // ticks and with a relaxed atomic fetch_or on forked ones.
   Message& out(Port p) {
     const WireId w = out_wires_[p];
     DTOP_CHECK(w != kNoWire, "send on unconnected out-port");
     Message& slot = next_msgs_[w];
-    if (detail::wire_stage(*next_stage_, w)) {
+    if (detail::wire_stage(*next_stage_, w, shared_)) {
       ++scratch_->msgs;
       slot = Message{};  // blank-on-first-use; lanes merge into it
     }
@@ -243,15 +257,19 @@ class StepContext {
 
   bool out_connected(Port p) const { return out_wires_[p] != kNoWire; }
 
-  // Engine wiring (filled per stepped node). `out_wires_` points at the
-  // node's row of the flattened port->wire table: kMaxDegree entries,
-  // unconnected ports hold kNoWire.
+  // Engine wiring. One context serves a whole step range: the fields from
+  // `next_msgs_` on are filled once per range, and per stepped node only
+  // `inputs_[0..delta)` and `out_wires_` are rewritten. `out_wires_` points
+  // at the node's row of the flattened port->wire table: kMaxDegree
+  // entries, unconnected ports hold kNoWire. `shared_` is set on forked
+  // ticks, where pool workers stage into the same bitmap concurrently.
   const Message* inputs_[kMaxDegree] = {};
   const WireId* out_wires_ = nullptr;
   Message* next_msgs_ = nullptr;
   detail::WireBitmap* next_stage_ = nullptr;
   EngineScratch* scratch_ = nullptr;
   Tick tick_ = 0;
+  bool shared_ = false;
 };
 
 template <typename M>
@@ -260,9 +278,10 @@ class SyncEngine {
   using Message = typename M::Message;
   using Config = typename M::Config;
 
-  // Default minimum active nodes per worker before a tick is split across
-  // the pool (EngineOptions::parallel_grain overrides; bench E10's
-  // calibration table records the measurement behind the default).
+  // Default fork threshold: a tick is split across the pool iff it has at
+  // least 2 * kDefaultParallelGrain active nodes, whatever the pool size
+  // (EngineOptions::parallel_grain overrides; bench E10's calibration table
+  // records the measurement behind the default).
   static constexpr std::size_t kDefaultParallelGrain = 96;
 
   // Stack-array bound for gathering per-worker chunk timings into the
@@ -384,7 +403,8 @@ class SyncEngine {
   // The arena this engine's state lives in (owned or caller-supplied).
   const Arena& arena() const { return *arena_; }
 
-  // The effective parallel-split threshold (active nodes per worker).
+  // The effective fork threshold: ticks with >= 2 * parallel_grain() active
+  // nodes fork.
   std::size_t parallel_grain() const { return grain_; }
 
   // The engine's worker pool (introspection: size, pinned).
@@ -427,7 +447,8 @@ class SyncEngine {
                  "inject: bad wire");
     if (trace_)
       trace_->on_inject(tick_, w, m, detail::wire_test(stage_[next_], w));
-    if (detail::wire_stage(stage_[next_], w)) ++stats_.messages;
+    if (detail::wire_stage(stage_[next_], w, /*shared=*/false))
+      ++stats_.messages;
     msgs_[next_][w] = m;
   }
 
@@ -485,12 +506,11 @@ class SyncEngine {
         EngineScratch& s = scratch_[static_cast<std::size_t>(t)];
         clock::time_point w0;
         if (timed) w0 = clock::now();
-        const std::size_t begin = count * static_cast<std::size_t>(t) /
-                                  static_cast<std::size_t>(nthreads);
-        const std::size_t end = count * static_cast<std::size_t>(t + 1) /
-                                static_cast<std::size_t>(nthreads);
-        const NodeId* act = active_.data();
-        for (std::size_t i = begin; i < end; ++i) step_node(act[i], s);
+        step_range(count * static_cast<std::size_t>(t) /
+                       static_cast<std::size_t>(nthreads),
+                   count * static_cast<std::size_t>(t + 1) /
+                       static_cast<std::size_t>(nthreads),
+                   s, /*shared=*/true);
         if (timed) {
           s.step_ns = static_cast<std::uint64_t>(
               std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -499,9 +519,7 @@ class SyncEngine {
         }
       });
     } else if (count > 0) {
-      EngineScratch& s = scratch_[0];
-      const NodeId* act = active_.data();
-      for (std::size_t i = 0; i < count; ++i) step_node(act[i], s);
+      step_range(0, count, scratch_[0], /*shared=*/false);
     }
     if (timed) t2 = clock::now();
 
@@ -541,7 +559,6 @@ class SyncEngine {
 
     stats_.ticks = tick_;
     stats_.node_steps += count;
-    stats_.sum_active += count;
     stats_.max_active = std::max<std::uint64_t>(stats_.max_active, count);
     stats_.allocs = heap_alloc_count() - alloc_mark_;
 
@@ -605,31 +622,44 @@ class SyncEngine {
     return p;
   }
 
-  void step_node(NodeId v, EngineScratch& s) {
+  // Steps active_[first, last) into scratch `s`. One StepContext serves
+  // the whole range: its per-tick fields are filled once, and per node only
+  // the inputs and the out-wire row are rewritten. `shared` = other pool
+  // workers stage concurrently this tick (see detail::wire_stage). The
+  // inline path and every forked worker run this one loop.
+  void step_range(std::size_t first, std::size_t last, EngineScratch& s,
+                  bool shared) {
     StepContext<Message> ctx;
     ctx.tick_ = tick_;
-    const std::size_t row = std::size_t{v} * kMaxDegree;
-    const WireId* in_row = node_in_wires_.data() + row;
-    const Message* cur_msgs = msgs_[cur_].data();
-    const detail::WireBitmap& cur_stage = stage_[cur_];
-    const Port delta = graph_->delta();
-    for (Port p = 0; p < delta; ++p) {
-      const WireId in_w = in_row[p];
-      ctx.inputs_[p] = (in_w != kNoWire && detail::wire_test(cur_stage, in_w))
-                           ? &cur_msgs[in_w]
-                           : nullptr;
-    }
-    ctx.out_wires_ = node_out_wires_.data() + row;
     ctx.next_msgs_ = msgs_[next_].data();
     ctx.next_stage_ = &stage_[next_];
     ctx.scratch_ = &s;
-
-    M& m = machines_.data()[v];
-    m.step(ctx);
-    // Branch-free self-reschedule: store unconditionally, advance iff the
-    // machine stayed non-idle.
-    s.sched[s.sched_len] = v;
-    s.sched_len += static_cast<std::size_t>(!m.idle());
+    ctx.shared_ = shared;
+    const NodeId* act = active_.data();
+    const WireId* in_wires = node_in_wires_.data();
+    const WireId* out_wires = node_out_wires_.data();
+    const Message* cur_msgs = msgs_[cur_].data();
+    const detail::WireBitmap& cur_stage = stage_[cur_];
+    const Port delta = graph_->delta();
+    M* machines = machines_.data();
+    for (std::size_t i = first; i < last; ++i) {
+      const NodeId v = act[i];
+      const std::size_t row = std::size_t{v} * kMaxDegree;
+      for (Port p = 0; p < delta; ++p) {
+        const WireId in_w = in_wires[row + p];
+        ctx.inputs_[p] =
+            (in_w != kNoWire && detail::wire_test(cur_stage, in_w))
+                ? &cur_msgs[in_w]
+                : nullptr;
+      }
+      ctx.out_wires_ = out_wires + row;
+      M& m = machines[v];
+      m.step(ctx);
+      // Branch-free self-reschedule: store unconditionally, advance iff the
+      // machine stayed non-idle.
+      s.sched[s.sched_len] = v;
+      s.sched_len += static_cast<std::size_t>(!m.idle());
+    }
   }
 
   // Declared first so it is destroyed last: the ArenaVectors below destroy

@@ -5,7 +5,7 @@
 namespace dtop {
 
 double EngineStats::avg_active() const {
-  return ticks > 0 ? static_cast<double>(sum_active) /
+  return ticks > 0 ? static_cast<double>(node_steps) /
                          static_cast<double>(ticks)
                    : 0.0;
 }

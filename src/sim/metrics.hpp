@@ -13,8 +13,8 @@ namespace dtop {
 struct EngineStats {
   Tick ticks = 0;                 // global clock pulses elapsed
   std::uint64_t messages = 0;     // non-blank characters transmitted
-  std::uint64_t node_steps = 0;   // machine activations (scheduler work)
-  std::uint64_t sum_active = 0;   // sum over ticks of active nodes
+  std::uint64_t node_steps = 0;   // machine activations (scheduler work):
+                                  // the sum over ticks of active nodes
   std::uint64_t max_active = 0;   // peak active nodes in one tick
 
   // Allocation observability (support/alloc_hook.hpp). `allocs` counts heap

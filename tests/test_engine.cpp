@@ -134,6 +134,132 @@ TEST(Engine, ParallelMatchesSequentialHops) {
   EXPECT_EQ(seq.stats().messages, par.stats().messages);
 }
 
+// Probe for the engine's reuse of one StepContext across a step range: every
+// node stays busy for kProbeLife steps and, each step, sends on a
+// pseudo-random subset of its connected out-ports a character naming its
+// sending port. It records which inputs it saw and where each came from.
+struct ProbeMessage {
+  NodeId from = kNoNode;
+  Port out_port = kNoPort;
+  Tick sent = 0;
+};
+
+class ProbeMachine {
+ public:
+  using Message = ProbeMessage;
+  struct Config {};
+  static constexpr std::size_t kProbeLife = 30;
+
+  struct Step {
+    Tick tick = 0;
+    std::uint8_t in_mask = 0;   // inputs that were non-null
+    std::uint8_t out_mask = 0;  // out-ports this step sent on
+    ProbeMessage in[kMaxDegree];
+  };
+
+  ProbeMachine(const MachineEnv& env, const Config&) : env_(env) {}
+
+  void step(StepContext<Message>& ctx) {
+    Step st;
+    st.tick = ctx.now();
+    for (Port p = 0; p < env_.delta; ++p) {
+      if (const Message* in = ctx.input(p)) {
+        st.in_mask |= static_cast<std::uint8_t>(1u << p);
+        st.in[p] = *in;
+      }
+    }
+    if (steps_.size() < kProbeLife) {
+      for (Port p = 0; p < env_.delta; ++p) {
+        if (!(env_.out_mask & (1u << p))) continue;
+        const std::uint64_t key =
+            (std::uint64_t{env_.debug_id} << 32) ^
+            (static_cast<std::uint64_t>(st.tick) << 4) ^ p;
+        if (((key * 0x9E3779B97F4A7C15ull) >> 61) & 1u) continue;
+        ctx.out(p) = Message{env_.debug_id, p, st.tick};
+        st.out_mask |= static_cast<std::uint8_t>(1u << p);
+      }
+    }
+    steps_.push_back(st);
+  }
+
+  bool idle() const { return steps_.size() >= kProbeLife; }
+  bool terminated() const { return false; }
+
+  const std::vector<Step>& steps() const { return steps_; }
+
+ private:
+  MachineEnv env_;
+  std::vector<Step> steps_;
+};
+
+// The engine fills one StepContext per step range and rewrites only the
+// inputs and out-wire row per node. On graphs whose consecutive active
+// nodes differ in connected ports (tombstoned wires, a tree with a loop), a
+// node must still see exactly the characters its own in-wires carry — none
+// left over from the node stepped before it — and its sends must land on
+// its own out-wires, inline (1 thread) and on forked ticks (4 threads,
+// grain 1: every tick with >= 2 active nodes forks).
+TEST(Engine, ReusedContextSeesOnlyThisNodesInputs) {
+  const PortGraph graphs[] = {degraded_grid(5, 5, 0.3, 3),
+                              make_family("treeloop", 15, 1).graph};
+  for (const PortGraph& g : graphs) {
+    for (const int threads : {1, 4}) {
+      EngineOptions opt;
+      opt.num_threads = threads;
+      opt.parallel_grain = 1;
+      SyncEngine<ProbeMachine> e(g, 0, {}, opt);
+      for (NodeId v = 0; v < g.num_nodes(); ++v) e.schedule(v);
+      for (std::size_t t = 0; t < 2 * ProbeMachine::kProbeLife; ++t) {
+        // What each node must see this tick: the in-flight characters of
+        // its own in-wires.
+        std::vector<std::uint8_t> want(g.num_nodes(), 0);
+        for (const WireId w : g.wire_ids())
+          if (e.wire_pending(w))
+            want[g.wire(w).to] |=
+                static_cast<std::uint8_t>(1u << g.wire(w).in_port);
+        std::vector<std::size_t> before(g.num_nodes());
+        for (NodeId v = 0; v < g.num_nodes(); ++v)
+          before[v] = e.machine(v).steps().size();
+
+        e.step();
+
+        std::vector<std::uint8_t> sent(g.num_nodes(), 0);
+        for (NodeId v = 0; v < g.num_nodes(); ++v) {
+          const auto& steps = e.machine(v).steps();
+          if (steps.size() == before[v]) {
+            EXPECT_EQ(+want[v], 0) << "node " << v << " not stepped";
+            continue;
+          }
+          ASSERT_EQ(steps.size(), before[v] + 1);
+          const ProbeMachine::Step& st = steps.back();
+          EXPECT_EQ(st.tick, e.now());
+          EXPECT_EQ(+st.in_mask, +want[v])
+              << "node " << v << " tick " << e.now() << " threads " << threads;
+          for (Port p = 0; p < g.delta(); ++p) {
+            if (!(st.in_mask & (1u << p)) || !(want[v] & (1u << p))) continue;
+            const Wire& w = g.wire(g.in_wire(v, p));
+            EXPECT_EQ(st.in[p].from, w.from) << "node " << v << " port " << +p;
+            EXPECT_EQ(st.in[p].out_port, w.out_port);
+            EXPECT_EQ(st.in[p].sent, e.now() - 1);
+          }
+          sent[v] = st.out_mask;
+        }
+        // Every staged wire was sent by its own source through its own
+        // out-port this tick, and every recorded send is staged.
+        for (const WireId w : g.wire_ids()) {
+          const Wire& wire = g.wire(w);
+          const bool recorded = (sent[wire.from] >> wire.out_port) & 1u;
+          ASSERT_EQ(e.wire_pending(w), recorded) << "wire " << w;
+          if (!recorded) continue;
+          EXPECT_EQ(e.staged_message(w)->from, wire.from);
+          EXPECT_EQ(e.staged_message(w)->out_port, wire.out_port);
+          EXPECT_EQ(e.staged_message(w)->sent, e.now());
+        }
+      }
+    }
+  }
+}
+
 TEST(ThreadPool, AllIndicesRun) {
   ThreadPool pool(4);
   std::atomic<int> mask{0};

@@ -70,7 +70,10 @@ TEST(Replay, RecordReplayRoundTripsAcrossFamiliesAndThreadCounts) {
 // Byte identity across code changes, not only across thread counts: the
 // raw-codec DTR2 bytes of three complete runs are pinned (length and
 // FNV-1a 64). A refactor of the machine or the wire character that changes
-// any recorded send, tick or transcript event changes these values.
+// any recorded send, tick or transcript event changes these values. Each
+// run is recorded inline (1 thread) and forked (4 threads, grain 1: every
+// tick with >= 2 active nodes forks and stages atomically); N <= 16 never
+// forks at the default grain.
 TEST(Replay, GoldenTraceDigestsArePinned) {
   struct Golden {
     const char* family;
@@ -83,16 +86,16 @@ TEST(Replay, GoldenTraceDigestsArePinned) {
       {"torus", 16, 304536, 0x893ba6f8410f1d72ull},
       {"treeloop", 15, 308471, 0xe649142522c4b078ull},
   };
+  GtdOptions grain1;
+  grain1.parallel_grain = 1;
   for (const Golden& gold : goldens) {
     const FamilyInstance inst = make_family(gold.family, gold.nodes, 1);
-    const trace::RecordedTrace t = record_run(inst.graph, 1);
-    std::stringstream ss;
-    trace::Dtr2Options opts;
-    opts.codec = trace::TraceCodec::kRaw;
-    trace::write_trace_dtr2(ss, t, opts);
-    const std::string bytes = ss.str();
-    EXPECT_EQ(bytes.size(), gold.bytes) << inst.label;
-    EXPECT_EQ(fnv1a64(bytes), gold.fnv) << inst.label;
+    for (const int threads : {1, 4}) {
+      const std::string bytes =
+          serialize(record_run(inst.graph, threads, grain1));
+      EXPECT_EQ(bytes.size(), gold.bytes) << inst.label << " x" << threads;
+      EXPECT_EQ(fnv1a64(bytes), gold.fnv) << inst.label << " x" << threads;
+    }
   }
 }
 
