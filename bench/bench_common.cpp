@@ -60,18 +60,6 @@ std::vector<NodeId> default_sizes() {
   return {16, 32, 64, 96, 128, 192, 256};
 }
 
-int bench_threads() {
-  const char* env = std::getenv("DTOP_BENCH_THREADS");
-  if (!env || !*env) return 1;
-  const long v = std::strtol(env, nullptr, 10);
-  return v >= 1 ? static_cast<int>(v) : 1;
-}
-
-bool bench_pin() {
-  const char* env = std::getenv("DTOP_BENCH_PIN");
-  return env && *env;
-}
-
 namespace {
 
 // A table cell that fully parses as a double is emitted as a JSON number;
@@ -114,7 +102,7 @@ void BenchJson::write(std::ostream& diag) const {
      << "debug"
 #endif
      << "\", \"hardware_threads\": " << std::thread::hardware_concurrency()
-     << ", \"bench_threads\": " << bench_threads() << ", \"quick\": "
+     << ", \"quick\": "
      << (std::getenv("DTOP_BENCH_QUICK") ? "true" : "false") << "},\n"
      << "  \"tables\": {";
   for (std::size_t t = 0; t < tables_.size(); ++t) {

@@ -48,17 +48,6 @@ std::vector<runner::JobResult> run_family_sweep(
 // to trim the sweep so the JSON artifacts stay cheap to regenerate.
 std::vector<NodeId> default_sizes();
 
-// Engine thread count for wall-clock benches (E10 single-workload rows):
-// the --threads value dtopctl bench forwards via DTOP_BENCH_THREADS, else
-// the env var directly, else 1. Committed baselines are recorded at the
-// default so rows stay comparable across boxes; the knob exists to
-// reproduce any row at a chosen thread count. Clamped to >= 1.
-int bench_threads();
-
-// True when DTOP_BENCH_PIN is set non-empty: wall-clock benches construct
-// their engines with pin_threads (best-effort CPU affinity).
-bool bench_pin();
-
 // Machine-readable companion to the printed tables: accumulates an
 // experiment's tables and writes them as BENCH_<exp>.json — the same
 // model-time numbers as the human tables (numeric cells emitted as JSON

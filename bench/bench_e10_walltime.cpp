@@ -10,17 +10,15 @@
 // steady_allocs column pins that to 0 for the pure-engine rows).
 //
 // Three tables:
-//   walltime       — the historical per-size rows, run at bench_threads()
-//                    (default 1, so committed baselines stay comparable).
-//   thread_scaling — the dense flood at 1/2/4/8 engine threads with a
-//                    speedup column (wall_1 / wall_T). node_steps and
-//                    steady_allocs are identical across rows — that's the
-//                    determinism contract made visible in the table.
-//   calibration    — the same workload across parallel_grain settings,
-//                    justifying EngineOptions' default grain.
+//   walltime         — the historical per-size rows, at 1 engine thread.
+//   thread_scaling   — the dense flood at 1/2/4/8 engine threads with a
+//                      speedup column (wall_1 / wall_T). node_steps and
+//                      steady_allocs are identical across rows — that's
+//                      the determinism contract made visible in the table.
+//   metrics_overhead — the dense flood with the metrics hook off and on.
 //
 // Column discipline for the CI gate (tools/bench_compare.py --tol-col):
-// N/E/threads/grain/window_ticks/node_steps/steady_allocs are deterministic
+// N/E/threads/window_ticks/node_steps/steady_allocs are deterministic
 // functions of the model and diff at tolerance 0; wall_ms/ticks_per_s/
 // ns_per_node_step are hardware-dependent and gate at a generous relative
 // tolerance; speedup depends on the runner's core count (a single-core CI
@@ -112,13 +110,6 @@ WindowSample time_window(Engine& engine, Tick warmup, Tick window) {
   return s;
 }
 
-EngineOptions bench_engine_options(int threads) {
-  EngineOptions opt;
-  opt.num_threads = threads;
-  opt.pin_threads = bench_pin();
-  return opt;
-}
-
 void add_row(Table& table, const std::string& label, const PortGraph& g,
              const WindowSample& s) {
   const double secs = s.wall_ms / 1e3;
@@ -146,9 +137,7 @@ Table walltime_table(bool quick) {
                "peak_rss_kb"});
   table.set_caption(
       "E10: steady-state wall time (flood = pure engine, gtd = truncated "
-      "protocol run with transcript; engine threads = bench_threads())");
-
-  const int threads = bench_threads();
+      "protocol run with transcript; 1 engine thread)");
 
   // Pure-engine dense floods: every node active every tick once the flood
   // saturates (warmup >> diameter). 2^17 = 131072 covers the 10^5 target in
@@ -157,7 +146,7 @@ Table walltime_table(bool quick) {
   if (!quick) ks.push_back(20);
   for (const int k : ks) {
     const PortGraph g = de_bruijn(k);
-    FloodEngine engine(g, 0, {}, bench_engine_options(threads));
+    FloodEngine engine(g, 0, {});
     const WindowSample s = time_window(engine, /*warmup=*/64, /*window=*/64);
     add_row(table, "flood-debruijn-" + std::to_string(g.num_nodes()), g, s);
   }
@@ -166,7 +155,7 @@ Table walltime_table(bool quick) {
   // engine overhead rather than per-node throughput.
   {
     const PortGraph g = directed_ring(4096);
-    FloodEngine engine(g, 0, {}, bench_engine_options(threads));
+    FloodEngine engine(g, 0, {});
     const WindowSample s =
         time_window(engine, /*warmup=*/64, /*window=*/2048);
     add_row(table, "flood-ring-4096", g, s);
@@ -182,7 +171,7 @@ Table walltime_table(bool quick) {
     Transcript t;
     GtdMachine::Config cfg;
     cfg.transcript = &t;
-    GtdEngine engine(g, 0, cfg, bench_engine_options(threads));
+    GtdEngine engine(g, 0, cfg);
     const WindowSample s =
         time_window(engine, /*warmup=*/2048, /*window=*/256);
     add_row(table, "gtd-debruijn-" + std::to_string(g.num_nodes()), g, s);
@@ -204,7 +193,7 @@ Table thread_scaling_table(bool quick) {
     const std::string label = "flood-debruijn-" + std::to_string(g.num_nodes());
     double wall_1 = 0.0;
     for (const int threads : {1, 2, 4, 8}) {
-      FloodEngine engine(g, 0, {}, bench_engine_options(threads));
+      FloodEngine engine(g, 0, {}, threads);
       const WindowSample s =
           time_window(engine, /*warmup=*/64, /*window=*/64);
       if (threads == 1) wall_1 = s.wall_ms;
@@ -240,7 +229,7 @@ Table metrics_overhead_table() {
   obs::Registry registry;
   const obs::EngineMetrics hook = obs::EngineMetrics::create(registry);
   for (const bool with_metrics : {false, true}) {
-    EngineOptions opt = bench_engine_options(bench_threads());
+    EngineOptions opt;
     if (with_metrics) opt.metrics = &hook;
     FloodEngine engine(g, 0, {}, opt);
     const WindowSample s = time_window(engine, /*warmup=*/64, /*window=*/64);
@@ -256,36 +245,6 @@ Table metrics_overhead_table() {
         .cell(s.steady_allocs)
         .cell(s.wall_ms, 3)
         .cell(ticks_per_s, 1);
-  }
-  return table;
-}
-
-Table calibration_table() {
-  Table table({"workload", "threads", "grain", "default", "wall_ms",
-               "ns_per_node_step"});
-  table.set_caption(
-      "E10: parallel_grain calibration at 2 threads (the default grain "
-      "should sit at or near the minimum of this curve on multi-core "
-      "hardware; on one core the curve is flat)");
-
-  const PortGraph g = de_bruijn(15);
-  const std::string label = "flood-debruijn-" + std::to_string(g.num_nodes());
-  for (const std::size_t grain : {std::size_t{32}, std::size_t{96},
-                                  std::size_t{256}, std::size_t{1024}}) {
-    EngineOptions opt = bench_engine_options(2);
-    opt.parallel_grain = grain;
-    FloodEngine engine(g, 0, {}, opt);
-    const WindowSample s = time_window(engine, /*warmup=*/64, /*window=*/64);
-    const double ns_per_step =
-        s.node_steps > 0 ? s.wall_ms * 1e6 / static_cast<double>(s.node_steps)
-                         : 0.0;
-    table.row()
-        .cell(label)
-        .cell(std::uint64_t{2})
-        .cell(static_cast<std::uint64_t>(grain))
-        .cell(grain == FloodEngine::kDefaultParallelGrain ? "*" : "")
-        .cell(s.wall_ms, 3)
-        .cell(ns_per_step, 2);
   }
   return table;
 }
@@ -306,18 +265,15 @@ int main() {
   const Table walltime = walltime_table(quick);
   const Table scaling = thread_scaling_table(quick);
   const Table overhead = metrics_overhead_table();
-  const Table calibration = calibration_table();
 
   walltime.print(std::cout);
   scaling.print(std::cout);
   overhead.print(std::cout);
-  calibration.print(std::cout);
 
   dtop::bench::BenchJson json("E10");
   json.add("walltime", walltime);
   json.add("thread_scaling", scaling);
   json.add("metrics_overhead", overhead);
-  json.add("calibration", calibration);
   json.write(std::cout);
   return 0;
 }

@@ -1,7 +1,6 @@
 #include "cli/cli.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 
 #include "cli/cli_io.hpp"
@@ -9,12 +8,10 @@
 #include "core/gtd.hpp"
 #include "core/map_io.hpp"
 #include "core/verify.hpp"
-#include "graph/analysis.hpp"
 #include "graph/families.hpp"
 #include "graph/graph_io.hpp"
 #include "graph/permute.hpp"
 #include "support/rng.hpp"
-#include "support/table.hpp"
 
 namespace dtop::cli {
 
@@ -58,15 +55,6 @@ void check_spec(const GraphSpec& spec) {
 
 namespace {
 
-// Engine threads when `bench --threads` is unset: DTOP_BENCH_THREADS, else
-// 1. Mirrors bench::bench_threads() (bench/ isn't linked into the CLI).
-int env_bench_threads() {
-  const char* env = std::getenv("DTOP_BENCH_THREADS");
-  if (!env || !*env) return 1;
-  const long v = std::strtol(env, nullptr, 10);
-  return v >= 1 ? static_cast<int>(v) : 1;
-}
-
 void print_map_edges(const TopologyMap& map, std::ostream& out) {
   out << "Recovered topology (node 0 is the root; nodes are named by their "
          "canonical path from the root):\n";
@@ -90,8 +78,6 @@ RunOptions parse_run_args(const std::vector<std::string>& args) {
     } else if (f == "--threads") {
       opt.threads = parse_int_as<int>(f, w.value());
       if (opt.threads < 1) throw UsageError("--threads must be >= 1");
-    } else if (f == "--pin") {
-      opt.pin = true;
     } else if (f == "--max-ticks") {
       opt.max_ticks = parse_int_as<std::int64_t>(f, w.value());
     } else if (f == "--verify") {
@@ -153,40 +139,6 @@ VerifyOptions parse_verify_args(const std::vector<std::string>& args) {
   return opt;
 }
 
-BenchOptions parse_bench_args(const std::vector<std::string>& args) {
-  BenchOptions opt;
-  FlagWalker w(args);
-  while (w.next()) {
-    const std::string& f = w.flag();
-    if (f == "--families") {
-      opt.families = split_list(w.value());
-      if (opt.families.empty()) throw UsageError("--families list is empty");
-      const auto names = family_names();
-      for (const std::string& fam : opt.families) {
-        if (std::find(names.begin(), names.end(), fam) == names.end()) {
-          throw UsageError("unknown family '" + fam + "'");
-        }
-      }
-    } else if (f == "--sizes") {
-      opt.sizes.clear();
-      for (const std::string& s : split_list(w.value())) {
-        opt.sizes.push_back(parse_int_as<NodeId>(f, s));
-      }
-      if (opt.sizes.empty()) throw UsageError("--sizes list is empty");
-    } else if (f == "--seed") {
-      opt.seed = parse_u64(f, w.value());
-    } else if (f == "--threads") {
-      opt.threads = parse_int_as<int>(f, w.value());
-      if (opt.threads < 1) throw UsageError("--threads must be >= 1");
-    } else if (f == "--pin") {
-      opt.pin = true;
-    } else {
-      throw UsageError("unknown flag '" + f + "' for 'bench'");
-    }
-  }
-  return opt;
-}
-
 PortGraph load_or_make_graph(const GraphSpec& spec, std::string* label) {
   if (spec.from_file()) {
     PortGraph g = with_input(spec.graph_file,
@@ -215,7 +167,6 @@ int run_command(const RunOptions& opt, std::ostream& out, std::ostream& err) {
 
   GtdOptions gopt;
   gopt.num_threads = opt.threads;
-  gopt.pin_threads = opt.pin;
   gopt.max_ticks = opt.max_ticks;
   const GtdResult result = run_gtd(g, opt.root, gopt);
   if (result.status != RunStatus::kTerminated) {
@@ -303,46 +254,6 @@ int verify_command(const VerifyOptions& opt, std::ostream& out,
   return 1;
 }
 
-int bench_command(const BenchOptions& opt, std::ostream& out,
-                  std::ostream& err) {
-  Table table({"family", "N", "D", "E", "ticks", "N*D", "ticks/(N*D)",
-               "messages"});
-  table.set_caption("dtopctl bench: model time vs the O(N*D) bound");
-  bool all_ok = true;
-  for (const std::string& fam : opt.families) {
-    for (const NodeId size : opt.sizes) {
-      const FamilyInstance fi = make_family(fam, size, opt.seed);
-      const NodeId n = fi.graph.num_nodes();
-      const std::uint32_t d = diameter(fi.graph);
-      GtdOptions gopt;
-      // Flag beats DTOP_BENCH_THREADS beats 1 — the same resolution the
-      // bench binaries use, so a table row is reproducible either way.
-      gopt.num_threads = opt.threads > 0 ? opt.threads : env_bench_threads();
-      gopt.pin_threads = opt.pin;
-      const GtdResult result = run_gtd(fi.graph, /*root=*/0, gopt);
-      if (result.status != RunStatus::kTerminated ||
-          !verify_map(fi.graph, 0, result.map).ok) {
-        err << "error: " << fam << " N=" << n
-            << ": protocol run failed or map mismatched\n";
-        all_ok = false;
-        continue;
-      }
-      const double nd = static_cast<double>(n) * std::max<std::uint32_t>(d, 1);
-      table.row()
-          .cell(fi.label)
-          .cell(static_cast<std::uint64_t>(n))
-          .cell(static_cast<std::uint64_t>(d))
-          .cell(static_cast<std::uint64_t>(fi.graph.num_wires()))
-          .cell(static_cast<std::uint64_t>(result.stats.ticks))
-          .cell(nd, 0)
-          .cell(static_cast<double>(result.stats.ticks) / nd)
-          .cell(result.stats.messages);
-    }
-  }
-  table.print(out);
-  return all_ok ? 0 : 1;
-}
-
 std::string usage_text() {
   std::string families;
   for (const std::string& n : family_names()) {
@@ -353,17 +264,15 @@ std::string usage_text() {
       "\n"
       "Usage:\n"
       "  dtopctl run    (--family NAME --nodes N | --graph FILE) [--seed S]\n"
-      "                 [--root R] [--threads T] [--pin] [--max-ticks T]\n"
+      "                 [--root R] [--threads T] [--max-ticks T]\n"
       "                 [--verify] [--map-out FILE] [--quiet]\n"
       "  dtopctl gen    --family NAME --nodes N [--seed S] [--out FILE] [--dot]\n"
       "                 [--permute SEED]\n"
       "  dtopctl verify --graph FILE --map FILE [--root R]\n"
-      "  dtopctl bench  [--families a,b,...] [--sizes n1,n2,...] [--seed S]\n"
-      "                 [--threads T] [--pin]\n"
       "  dtopctl sweep  [--spec FILE] [--families a,b,...] [--sizes LIST]\n"
       "                 [--seeds LIST] [--configs ratio1..ratio4]\n"
       "                 [--scenarios none,budget@T,kill@T,unmark@T,dfs@T]\n"
-      "                 [--root R] [--max-ticks T] [--threads T] [--pin]\n"
+      "                 [--root R] [--max-ticks T] [--threads T]\n"
       "                 [--format table|json|csv] [--out FILE] [--timing]\n"
       "                 [--quiet] [--trace-dir DIR] [--cluster SOCKS]\n"
       "  dtopctl trace  record  (--family NAME --nodes N | --graph FILE)\n"
@@ -382,12 +291,12 @@ std::string usage_text() {
       "                 [--seed S] [range flags] [--codec C]\n"
       "  dtopctl trace  corpus  --dir DIR\n"
       "  dtopctl serve  (--socket PATH | --listen HOST:PORT) [--workers N]\n"
-      "                 [--pin] [--cache N] [--cache-store FILE]\n"
-      "                 [--trace-dir DIR] [--quiet]\n"
+      "                 [--cache N] [--cache-store FILE] [--trace-dir DIR]\n"
+      "                 [--quiet]\n"
       "  dtopctl client (--socket EP | --cluster EPS) [--request JSON]...\n"
       "                 [--in FILE] [--shutdown]\n"
       "  dtopctl cluster --shards N (--socket-dir DIR | --tcp-base PORT)\n"
-      "                 [--workers N] [--pin] [--cache N] [--cache-dir DIR]\n"
+      "                 [--workers N] [--cache N] [--cache-dir DIR]\n"
       "                 [--trace-dir DIR] [--max-restarts N] [--exe PATH]\n"
       "                 [--quiet]\n"
       "  dtopctl loadgen (--endpoint EP | --cluster EPS) [--concurrency C]\n"
@@ -428,7 +337,6 @@ int cli_main(const std::vector<std::string>& args, std::ostream& out,
     if (cmd == "gen") return gen_command(parse_gen_args(rest), out, err);
     if (cmd == "verify")
       return verify_command(parse_verify_args(rest), out, err);
-    if (cmd == "bench") return bench_command(parse_bench_args(rest), out, err);
     if (cmd == "sweep") return sweep_command(parse_sweep_args(rest), out, err);
     if (cmd == "trace") return trace_command(parse_trace_args(rest), out, err);
     if (cmd == "serve") return serve_command(parse_serve_args(rest), out, err);

@@ -5,7 +5,6 @@
 //           recovered topology map; optionally verify against ground truth.
 //   gen     generate a graph family to disk (text format or Graphviz DOT).
 //   verify  check a recovered map file against a ground-truth graph file.
-//   bench   quick model-time table (ticks, N*D, messages) over families.
 //   sweep   expand a declarative campaign spec (families x sizes x seeds x
 //           configs x scenarios) and execute the jobs concurrently through
 //           src/runner, emitting a table, JSON, or CSV.
@@ -74,7 +73,6 @@ struct RunOptions {
   GraphSpec spec;
   NodeId root = 0;
   int threads = 1;
-  bool pin = false;            // pin engine pool workers (best-effort)
   std::int64_t max_ticks = 0;  // 0 = automatic budget
   bool verify = false;         // check the map against ground truth
   bool quiet = false;          // suppress the per-edge map listing
@@ -100,20 +98,9 @@ struct VerifyOptions {
   NodeId root = 0;
 };
 
-struct BenchOptions {
-  std::vector<std::string> families = {"torus", "debruijn"};
-  std::vector<NodeId> sizes = {16, 32};
-  std::uint64_t seed = 1;
-  // Engine threads per bench run: --threads beats DTOP_BENCH_THREADS beats
-  // 1 (0 here = flag unset, resolve from the environment).
-  int threads = 0;
-  bool pin = false;  // pin engine pool workers (best-effort)
-};
-
 struct SweepOptions {
   runner::CampaignSpec spec;
   int threads = 1;             // concurrent campaign jobs
-  bool pin = false;            // pin campaign workers (best-effort)
   std::string spec_file;       // --spec FILE ("-" = stdin); flags override it
   std::string format = "table";  // table | json | csv
   std::string out;             // empty or "-" = stdout
@@ -166,7 +153,6 @@ struct ServeOptions {
   std::string socket;      // --socket PATH (exactly one of --socket/--listen)
   std::string listen;      // --listen HOST:PORT (port 0 = pick a free port)
   int workers = 1;         // request-executing ThreadPool size
-  bool pin = false;        // pin request workers (best-effort)
   std::size_t cache = 64;  // result-cache capacity, in entries
   std::string cache_store; // --cache-store FILE: persistent warm-start store
   std::string trace_dir;   // capture failed requests here (existing dir)
@@ -188,7 +174,6 @@ struct ClusterOptions {
   // Unix sockets (socket_dir is then unused and may be empty). 0 = off.
   int tcp_base = 0;
   int workers = 1;          // per-shard request workers
-  bool pin = false;         // per-shard --pin (forwarded to the children)
   std::size_t cache = 64;   // per-shard result-cache capacity
   std::string cache_dir;    // per-shard stores DIR/shard-<i>.cache (created)
   std::string trace_dir;    // per-shard capture dirs DIR/shard-<i> (created)
@@ -242,7 +227,6 @@ struct TopOptions {
 RunOptions parse_run_args(const std::vector<std::string>& args);
 GenOptions parse_gen_args(const std::vector<std::string>& args);
 VerifyOptions parse_verify_args(const std::vector<std::string>& args);
-BenchOptions parse_bench_args(const std::vector<std::string>& args);
 SweepOptions parse_sweep_args(const std::vector<std::string>& args);
 TraceOptions parse_trace_args(const std::vector<std::string>& args);
 ServeOptions parse_serve_args(const std::vector<std::string>& args);
@@ -270,8 +254,6 @@ int run_command(const RunOptions& opt, std::ostream& out, std::ostream& err);
 int gen_command(const GenOptions& opt, std::ostream& out, std::ostream& err);
 int verify_command(const VerifyOptions& opt, std::ostream& out,
                    std::ostream& err);
-int bench_command(const BenchOptions& opt, std::ostream& out,
-                  std::ostream& err);
 int sweep_command(const SweepOptions& opt, std::ostream& out,
                   std::ostream& err);
 int trace_command(const TraceOptions& opt, std::ostream& out,

@@ -180,7 +180,6 @@ class Supervisor {
                                      "--workers", std::to_string(opt_.workers),
                                      "--cache",  std::to_string(opt_.cache),
                                      "--quiet"};
-    if (opt_.pin) args.push_back("--pin");
     if (!shard.cache_store.empty()) {
       args.push_back("--cache-store");
       args.push_back(shard.cache_store);
@@ -327,8 +326,6 @@ ClusterOptions parse_cluster_args(const std::vector<std::string>& args) {
     } else if (f == "--workers") {
       opt.workers = parse_int_as<int>(f, w.value());
       if (opt.workers < 1) throw UsageError("--workers must be >= 1");
-    } else if (f == "--pin") {
-      opt.pin = true;
     } else if (f == "--cache") {
       opt.cache = parse_int_as<std::uint32_t>(f, w.value());
       if (opt.cache < 1) throw UsageError("--cache must be >= 1 entry");

@@ -24,9 +24,6 @@ namespace dtop {
 struct GtdOptions {
   ProtocolConfig protocol;
   int num_threads = 1;
-  // Pin the engine's pool workers to distinct CPUs (best-effort; see
-  // EngineOptions::pin_threads). Surfaced as --pin on dtopctl run/bench.
-  bool pin_threads = false;
   // Parallel-split threshold forwarded to EngineOptions::parallel_grain
   // (0 = engine default).
   std::size_t parallel_grain = 0;

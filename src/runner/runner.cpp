@@ -170,10 +170,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
 
   const int threads = static_cast<int>(std::min<std::size_t>(
       static_cast<std::size_t>(opt.threads), std::max<std::size_t>(jobs.size(), 1)));
-  ThreadPoolOptions popt;
-  popt.num_threads = threads;
-  popt.pin_threads = opt.pin_workers;
-  ThreadPool pool(popt);
+  ThreadPool pool(threads);
   // One arena per worker, reused (reset) across every job the worker
   // claims: engine state for job k+1 lives in the blocks job k warmed up.
   std::vector<Arena> arenas;

@@ -57,7 +57,8 @@ bool ResultCache::put(const CacheKey& key, const CachedMap& value) {
 CachedMap ResultCache::get_or_compute(const CacheKey& key,
                                       const std::function<CachedMap()>& compute,
                                       std::string* outcome,
-                                      std::uint64_t flight_discriminator) {
+                                      std::uint64_t flight_discriminator,
+                                      const std::function<void()>& looked_up) {
   const FlightKey flight_key{key, flight_discriminator};
   std::shared_ptr<InFlight> pending;
   {
@@ -67,6 +68,7 @@ CachedMap ResultCache::get_or_compute(const CacheKey& key,
       ++stats_.hits;
       touch(it->second);
       if (outcome) *outcome = "hit";
+      if (looked_up) looked_up();
       return it->second->second;
     }
     const auto fit = in_flight_.find(flight_key);
@@ -75,6 +77,7 @@ CachedMap ResultCache::get_or_compute(const CacheKey& key,
       // duplicate protocol run.
       ++stats_.coalesced;
       if (outcome) *outcome = "coalesced";
+      if (looked_up) looked_up();
       const std::shared_ptr<InFlight> flight = fit->second;
       done_cv_.wait(lock, [&] { return flight->done; });
       if (flight->error) std::rethrow_exception(flight->error);
@@ -84,6 +87,7 @@ CachedMap ResultCache::get_or_compute(const CacheKey& key,
     ++stats_.executions;
     pending = std::make_shared<InFlight>();
     in_flight_[flight_key] = pending;
+    if (looked_up) looked_up();
   }
 
   if (outcome) *outcome = "miss";

@@ -95,10 +95,16 @@ class ResultCache {
   // is irrelevant to a success can change a *failure* — the determine
   // path passes its tick budget here, so a generously-budgeted request
   // never inherits the budget-exhaustion failure of a strangled twin.
+  //
+  // `looked_up`, when set, is called once under the cache lock as soon as
+  // the key is resolved as a hit, a coalesce or a newly registered flight,
+  // before any wait or compute: the service uses it to let the next
+  // pipelined request of a connection make its own lookup.
   CachedMap get_or_compute(const CacheKey& key,
                            const std::function<CachedMap()>& compute,
                            std::string* outcome = nullptr,
-                           std::uint64_t flight_discriminator = 0);
+                           std::uint64_t flight_discriminator = 0,
+                           const std::function<void()>& looked_up = {});
 
   // Plain lookup (counts a hit and refreshes LRU recency when found).
   std::optional<CachedMap> lookup(const CacheKey& key);

@@ -218,6 +218,7 @@ void Server::reap_connections(bool all) {
 void Server::handle_connection(int fd) {
   std::string buf;
   std::vector<std::uint64_t> order;
+  std::uint64_t last = 0;  // this connection's latest ticket
   bool write_ok = true;
   for (;;) {
     if (!write_ok || closing_.load(std::memory_order_acquire)) break;
@@ -239,7 +240,8 @@ void Server::handle_connection(int fd) {
 
     // Submit every complete line first (a pipelining client's identical
     // requests are then genuinely in flight together), then write the
-    // responses back in request order.
+    // responses back in request order. Each line follows the previous one
+    // into the result cache, so the earlier of two duplicates is the miss.
     order.clear();
     std::size_t start = 0;
     for (std::size_t nl = buf.find('\n', start); nl != std::string::npos;
@@ -248,7 +250,8 @@ void Server::handle_connection(int fd) {
       start = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
-      order.push_back(service_.submit(std::move(line)));
+      last = service_.submit(std::move(line), last);
+      order.push_back(last);
     }
     buf.erase(0, start);
     for (const std::uint64_t ticket : order) {

@@ -205,7 +205,7 @@ std::vector<NodeId> parse_sizes(const std::string& text) {
 Service::Service(const ServiceOptions& opt)
     : opt_(opt),
       cache_(opt.cache_capacity),
-      pool_(ThreadPoolOptions{opt.workers, opt.pin_workers}) {
+      pool_(opt.workers) {
   DTOP_REQUIRE(opt.workers >= 1, "service workers must be >= 1");
   if (!opt_.cache_store.empty()) {
     std::ostream& warn = opt_.warn ? *opt_.warn : std::cerr;
@@ -232,7 +232,9 @@ Service::Service(const ServiceOptions& opt)
   pump_ = std::thread([this] {
     pool_.run([this](int w) {
       while (auto job = queue_.pop()) {
-        job->promise.set_value(handle_line(job->line, job->ticket, w));
+        std::string resp = handle_line(*job, w);
+        lookup_done(job->ticket);  // requests that failed before their lookup
+        job->promise.set_value(std::move(resp));
       }
     });
   });
@@ -246,12 +248,17 @@ void Service::stop() {
   if (pump_.joinable()) pump_.join();
 }
 
-std::uint64_t Service::submit(std::string line) {
+std::uint64_t Service::submit(std::string line, std::uint64_t after) {
   const std::uint64_t ticket =
       next_ticket_.fetch_add(1, std::memory_order_relaxed);
   Job job;
   job.ticket = ticket;
+  job.after = after;
   job.line = std::move(line);
+  {
+    std::lock_guard<std::mutex> lock(lookup_mu_);
+    lookups_ahead_.insert(ticket);
+  }
   std::future<std::string> future = job.promise.get_future();
   {
     std::lock_guard<std::mutex> lock(futures_mu_);
@@ -260,6 +267,7 @@ std::uint64_t Service::submit(std::string line) {
   if (!queue_.push(std::move(job))) {
     // The queue closed between shutdown and this submit; answer directly so
     // the caller is never left waiting on an abandoned promise.
+    lookup_done(ticket);
     std::lock_guard<std::mutex> lock(futures_mu_);
     std::promise<std::string> p;
     futures_[ticket] = p.get_future();
@@ -286,8 +294,24 @@ std::string Service::wait(std::uint64_t ticket) {
 
 std::string Service::call(const std::string& line) { return wait(submit(line)); }
 
-std::string Service::handle_line(const std::string& line,
-                                 std::uint64_t ticket, int worker) {
+// A worker only waits on an `after` ticket that was queued before its own:
+// the queue is FIFO, so that ticket is already held by a worker, and the
+// chain of waits always ends at a request that waits on nothing.
+void Service::await_lookup(std::uint64_t after) {
+  if (after == 0) return;
+  std::unique_lock<std::mutex> lock(lookup_mu_);
+  lookup_cv_.wait(lock, [&] { return !lookups_ahead_.contains(after); });
+}
+
+void Service::lookup_done(std::uint64_t ticket) {
+  {
+    std::lock_guard<std::mutex> lock(lookup_mu_);
+    if (lookups_ahead_.erase(ticket) == 0) return;
+  }
+  lookup_cv_.notify_all();
+}
+
+std::string Service::handle_line(const Job& job, int worker) {
   // One line = one request: counted on entry so a sequential scrape always
   // sees requests_total == sum of the per-op served counters + rejected
   // (an invariant CI asserts against a live cluster). Latency is recorded
@@ -300,13 +324,16 @@ std::string Service::handle_line(const std::string& line,
   int op_idx = -1;
   std::string resp;
   try {
-    const JsonObject req = parse_json_object(line);
+    const JsonObject req = parse_json_object(job.line);
     id = req.raw_token("id");
     op = req.require_string("op");
+    // Only a determine looks the cache up in order; no other op holds up
+    // the requests pipelined behind it.
+    if (op != "determine") lookup_done(job.ticket);
     if (op == "determine") {
       op_idx = 0;
       served_.determine.fetch_add(1, std::memory_order_relaxed);
-      resp = handle_determine(req, id, ticket, worker);
+      resp = handle_determine(req, id, job, worker);
     } else if (op == "verify") {
       op_idx = 1;
       served_.verify.fetch_add(1, std::memory_order_relaxed);
@@ -314,7 +341,7 @@ std::string Service::handle_line(const std::string& line,
     } else if (op == "sweep") {
       op_idx = 2;
       served_.sweep.fetch_add(1, std::memory_order_relaxed);
-      resp = handle_sweep(req, id, ticket, worker);
+      resp = handle_sweep(req, id, job.ticket, worker);
     } else if (op == "cache_get") {
       op_idx = 3;
       served_.cache_get.fetch_add(1, std::memory_order_relaxed);
@@ -363,7 +390,7 @@ std::string Service::handle_line(const std::string& line,
 
 std::string Service::handle_determine(const JsonObject& req,
                                       const std::string& id,
-                                      std::uint64_t ticket, int worker) {
+                                      const Job& job, int worker) {
   Arena* arena = &arenas_[static_cast<std::size_t>(worker)];
   std::string label;
   const PortGraph g = request_graph(req, &label);
@@ -379,6 +406,7 @@ std::string Service::handle_determine(const JsonObject& req,
   if (!id.empty()) w.field_raw("id", id);
   w.field("op", "determine");
 
+  await_lookup(job.after);
   std::string outcome;
   try {
     // The tick budget discriminates the *in-flight* identity only: budgets
@@ -391,7 +419,8 @@ std::string Service::handle_determine(const JsonObject& req,
           return execute_determine(g, root, config, max_ticks, label, arena,
                                    &engine_metrics_, worker);
         },
-        &outcome, static_cast<std::uint64_t>(max_ticks));
+        &outcome, static_cast<std::uint64_t>(max_ticks),
+        [&] { lookup_done(job.ticket); });
     // Only the computing caller persists the entry (hits replayed it, and
     // coalesced twins share the one computation), so the store grows by at
     // most one record per fresh determination.
@@ -428,7 +457,7 @@ std::string Service::handle_determine(const JsonObject& req,
   }
   if (!opt_.trace_dir.empty()) {
     const std::string path = capture_determine_trace(
-        g, root, config, max_ticks, opt_.trace_dir, ticket, arena);
+        g, root, config, max_ticks, opt_.trace_dir, job.ticket, arena);
     if (!path.empty()) w.field("trace", path);
   }
   return w.str();

@@ -35,14 +35,17 @@
 // every other response stays byte-identical whether or not metrics were
 // ever scraped. Identical determine requests in flight at the
 // same time coalesce onto one protocol run (ResultCache::get_or_compute).
-// Two scheduling-visible caveats, both counter-shaped: a pipelined
-// duplicate reports "coalesced" instead of "hit", and a `stats` request
+// A request submitted after another one of its connection makes its cache
+// lookup only once that one has, so of two pipelined duplicates the earlier
+// is always the miss. Two scheduling-visible caveats, both counter-shaped:
+// the later duplicate reports "coalesced" instead of "hit", and a `stats` request
 // pipelined behind unfinished requests may observe their counters
 // mid-update — await outstanding responses before `stats` when its
 // numbers must be exact (sequential sessions always are).
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <iterator>
@@ -51,6 +54,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "obs/engine_metrics.hpp"
@@ -90,10 +94,6 @@ inline constexpr std::size_t kServedOpCount =
 
 struct ServiceOptions {
   int workers = 1;                 // ThreadPool size executing requests
-  // Pin the request workers to distinct CPUs (best-effort; see
-  // support/affinity.hpp). Useful for multi-shard deployments where each
-  // dtopd should keep to its cores.
-  bool pin_workers = false;
   std::size_t cache_capacity = 64;  // ResultCache entries
   // When non-empty: a failed determine request is deterministically re-run
   // with a trace recorder and captured as <trace_dir>/req-<seq>.dtrace; a
@@ -118,8 +118,9 @@ class Service {
 
   // Enqueues one request line; returns a ticket to pass to wait(). Tickets
   // are assigned in submission order and seed deterministic artifact names
-  // (trace captures).
-  std::uint64_t submit(std::string line);
+  // (trace captures). `after`, when non-zero, is an earlier ticket of the
+  // same connection: this request's cache lookup waits for that one's.
+  std::uint64_t submit(std::string line, std::uint64_t after = 0);
 
   // Blocks until the ticket's response line is ready. Each ticket may be
   // waited on exactly once.
@@ -147,6 +148,7 @@ class Service {
  private:
   struct Job {
     std::uint64_t ticket = 0;
+    std::uint64_t after = 0;
     std::string line;
     std::promise<std::string> promise;
   };
@@ -167,11 +169,15 @@ class Service {
   // Never throws: every failure becomes an ok=false response line.
   // `worker` is the executing pool-worker index; it selects the per-worker
   // arena and never influences the response (determinism contract).
-  std::string handle_line(const std::string& line, std::uint64_t ticket,
-                          int worker);
+  std::string handle_line(const Job& job, int worker);
 
   std::string handle_determine(const JsonObject& req, const std::string& id,
-                               std::uint64_t ticket, int worker);
+                               const Job& job, int worker);
+
+  // Blocks until ticket `after` (0: none) has made its cache lookup.
+  void await_lookup(std::uint64_t after);
+  // Marks the ticket's cache lookup as made; idempotent.
+  void lookup_done(std::uint64_t ticket);
   std::string handle_verify(const JsonObject& req, const std::string& id);
   std::string handle_sweep(const JsonObject& req, const std::string& id,
                            std::uint64_t ticket, int worker);
@@ -199,6 +205,10 @@ class Service {
   std::mutex futures_mu_;
   std::unordered_map<std::uint64_t, std::future<std::string>> futures_;
   std::atomic<std::uint64_t> next_ticket_{1};
+  // Tickets whose cache lookup is still ahead of them.
+  std::mutex lookup_mu_;
+  std::condition_variable lookup_cv_;
+  std::unordered_set<std::uint64_t> lookups_ahead_;
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> stopped_{false};
   Served served_;

@@ -43,9 +43,10 @@
 // checkable number. The arena can be caller-owned (runner workers and dtopd
 // reuse one arena's high-water footprint across runs) or engine-owned when
 // none is supplied. Pool workers are persistent: spawned once at engine
-// construction (optionally pinned, see ThreadPoolOptions), they first-touch
-// their own scratch before the first tick and meet the stepping thread at a
-// spin-then-park tick barrier.
+// construction, they first-touch their own scratch before the first tick
+// and meet the stepping thread at a spin-then-park tick barrier. The engine
+// does not place them on CPUs; wrap the process in `taskset` or a cpuset
+// for placement.
 #pragma once
 
 #include <algorithm>
@@ -201,15 +202,10 @@ struct EngineOptions {
   // owns a private one.
   Arena* arena = nullptr;
 
-  // Pin pool-owned workers to distinct CPUs at spawn (best-effort, see
-  // support/affinity.hpp). Off by default: pinning helps dedicated bench
-  // boxes and hurts oversubscribed ones.
-  bool pin_threads = false;
-
   // Fork threshold: a tick forks across the pool iff it has at least
   // 2 * parallel_grain active nodes, whatever the pool size (it is not a
-  // per-worker minimum); 0 = kDefaultParallelGrain. Bench E10's calibration
-  // table records how the default was chosen.
+  // per-worker minimum); 0 = kDefaultParallelGrain. Tests set it to force
+  // the fork path.
   std::size_t parallel_grain = 0;
 
   // Spin budget of the tick barrier before parking; < 0 = pool default.
@@ -280,8 +276,9 @@ class SyncEngine {
 
   // Default fork threshold: a tick is split across the pool iff it has at
   // least 2 * kDefaultParallelGrain active nodes, whatever the pool size
-  // (EngineOptions::parallel_grain overrides; bench E10's calibration table
-  // records the measurement behind the default).
+  // (EngineOptions::parallel_grain overrides). Whether forking pays at all
+  // is ROADMAP item 2; perfbench `full_run_threads` measures the share of
+  // forked ticks (`sim.forked_ticks_share`).
   static constexpr std::size_t kDefaultParallelGrain = 96;
 
   // Stack-array bound for gathering per-worker chunk timings into the
@@ -617,7 +614,6 @@ class SyncEngine {
   static ThreadPoolOptions pool_options(const EngineOptions& opt) {
     ThreadPoolOptions p;
     p.num_threads = opt.num_threads;
-    p.pin_threads = opt.pin_threads;
     if (opt.spin_iters >= 0) p.spin_iters = opt.spin_iters;
     return p;
   }

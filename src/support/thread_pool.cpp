@@ -1,6 +1,7 @@
 #include "support/thread_pool.hpp"
 
-#include "support/affinity.hpp"
+#include <string>
+
 #include "support/error.hpp"
 
 namespace dtop {
@@ -44,15 +45,24 @@ inline void cpu_relax() {
 
 ThreadPool::ThreadPool(const ThreadPoolOptions& opt)
     : num_threads_(opt.num_threads),
-      pin_requested_(opt.pin_threads),
       spin_iters_(opt.spin_iters < 0 ? 0 : opt.spin_iters) {
   DTOP_REQUIRE(opt.num_threads >= 1, "ThreadPool needs >= 1 thread");
-  threads_.reserve(static_cast<std::size_t>(num_threads_ - 1));
-  for (int i = 1; i < num_threads_; ++i)
-    threads_.emplace_back([this, i] { worker_loop(i); });
+  try {
+    threads_.reserve(static_cast<std::size_t>(num_threads_ - 1));
+    for (int i = 1; i < num_threads_; ++i)
+      threads_.emplace_back([this, i] { worker_loop(i); });
+  } catch (const std::exception& e) {
+    // A joinable std::thread destroyed during unwinding would call
+    // std::terminate, so stop the workers already started before throwing.
+    stop_and_join();
+    throw Error("ThreadPool: cannot start " + std::to_string(num_threads_) +
+                " threads (" + e.what() + ")");
+  }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
     // Taking mu_ orders this store against any worker's park predicate:
     // a worker either sees stop_ set, or is already blocked in wait when
@@ -62,11 +72,6 @@ ThreadPool::~ThreadPool() {
   }
   start_cv_.notify_all();
   for (auto& t : threads_) t.join();
-}
-
-bool ThreadPool::pinned() const {
-  return pin_requested_ &&
-         pins_ok_.load(std::memory_order_relaxed) == num_threads_ - 1;
 }
 
 void ThreadPool::run(FunctionRef<void(int)> body) {
@@ -118,11 +123,6 @@ void ThreadPool::run(FunctionRef<void(int)> body) {
 }
 
 void ThreadPool::worker_loop(int index) {
-  // Pin before touching anything else so first-touch page placement of any
-  // memory this worker later initialises follows the pin.
-  if (pin_requested_ && pin_current_thread(index))
-    pins_ok_.fetch_add(1, std::memory_order_relaxed);
-
   std::uint64_t seen = 0;
   for (;;) {
     // Wait for a new generation: spin first, then park.

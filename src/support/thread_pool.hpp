@@ -11,6 +11,10 @@
 // where the next fork arrives microseconds after the last join) and only
 // then parks on a condition variable. The park protocol is lost-wakeup-free
 // by a seq_cst ordering argument spelled out in thread_pool.cpp.
+//
+// The pool does not place threads on CPUs: workers run wherever the OS
+// schedules them. An operator who wants placement wraps the process in
+// `taskset` or a cpuset; the engine's results do not depend on it.
 #pragma once
 
 #include <atomic>
@@ -28,14 +32,6 @@ struct ThreadPoolOptions {
   // Total workers (including the calling thread's share): run(body) invokes
   // body(i) for i in [0, num_threads), body(0) on the calling thread.
   int num_threads = 1;
-
-  // Pin each pool-owned worker i (1 <= i < num_threads) to the i'th CPU of
-  // the process affinity mask at thread start, before it touches any
-  // scratch memory — so first-touch page placement follows the pin. The
-  // calling thread (worker 0) is never pinned; hijacking the caller's
-  // affinity would leak into unrelated work on that thread. Best-effort:
-  // see support/affinity.hpp.
-  bool pin_threads = false;
 
   // Spin budget (pause iterations) before a worker or the joining caller
   // parks on a condvar. 0 means park immediately (pure condvar behaviour).
@@ -56,6 +52,8 @@ class ThreadPool {
  public:
   explicit ThreadPool(int num_threads)
       : ThreadPool(ThreadPoolOptions{num_threads}) {}
+  // Throws dtop::Error naming the requested thread count when a worker
+  // cannot be started; workers already started are stopped and joined.
   explicit ThreadPool(const ThreadPoolOptions& opt);
   ~ThreadPool();
 
@@ -63,10 +61,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   int size() const { return num_threads_; }
-
-  // True when pinning was requested and every pool-owned worker pinned
-  // successfully (vacuously true for a 1-thread pool with pin_threads set).
-  bool pinned() const;
 
   // Blocks until every body(i) has returned. Exceptions from worker bodies
   // are rethrown on the calling thread. Takes a FunctionRef, not a
@@ -87,9 +81,9 @@ class ThreadPool {
 
  private:
   void worker_loop(int index);
+  void stop_and_join();
 
   int num_threads_;
-  bool pin_requested_ = false;
   int spin_iters_ = 0;
   std::vector<std::thread> threads_;
 
@@ -110,7 +104,6 @@ class ThreadPool {
 
   const FunctionRef<void(int)>* body_ = nullptr;
   std::exception_ptr first_error_;
-  std::atomic<int> pins_ok_{0};
 };
 
 }  // namespace dtop

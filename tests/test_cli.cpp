@@ -62,26 +62,6 @@ TEST(CliParse, RejectsUnknownFlag) {
   EXPECT_THROW(parse_run_args({"--family", "torus", "--bogus"}), UsageError);
 }
 
-TEST(CliParse, PinFlagAcrossSubcommands) {
-  // --pin rides every subcommand that owns a ThreadPool; default off.
-  EXPECT_FALSE(parse_run_args({"--family", "torus"}).pin);
-  EXPECT_TRUE(parse_run_args({"--family", "torus", "--pin"}).pin);
-  EXPECT_FALSE(parse_bench_args({}).pin);
-  EXPECT_TRUE(parse_bench_args({"--pin"}).pin);
-  EXPECT_FALSE(parse_sweep_args({}).pin);
-  EXPECT_TRUE(parse_sweep_args({"--pin"}).pin);
-  EXPECT_FALSE(parse_serve_args({"--socket", "s.sock"}).pin);
-  EXPECT_TRUE(parse_serve_args({"--socket", "s.sock", "--pin"}).pin);
-  EXPECT_FALSE(parse_cluster_args({"--socket-dir", "/tmp"}).pin);
-  EXPECT_TRUE(parse_cluster_args({"--socket-dir", "/tmp", "--pin"}).pin);
-}
-
-TEST(CliParse, BenchThreadsFlag) {
-  EXPECT_EQ(parse_bench_args({}).threads, 0);  // unset: resolve from env
-  EXPECT_EQ(parse_bench_args({"--threads", "4"}).threads, 4);
-  EXPECT_THROW(parse_bench_args({"--threads", "0"}), UsageError);
-}
-
 TEST(CliParse, RejectsMissingValue) {
   EXPECT_THROW(parse_run_args({"--family"}), UsageError);
 }
@@ -128,27 +108,16 @@ TEST(CliParse, VerifyRequiresBothFiles) {
   EXPECT_EQ(opt.root, 1u);
 }
 
-TEST(CliParse, BenchLists) {
-  const BenchOptions opt = parse_bench_args(
-      {"--families", "torus,debruijn", "--sizes", "9,16", "--seed", "3"});
-  EXPECT_EQ(opt.families, (std::vector<std::string>{"torus", "debruijn"}));
-  EXPECT_EQ(opt.sizes, (std::vector<NodeId>{9, 16}));
-  EXPECT_EQ(opt.seed, 3u);
-}
-
 TEST(CliParse, ListGrammarIsUniformAcrossSubcommands) {
-  // bench and sweep share one list grammar: commas and/or whitespace.
-  const BenchOptions bench =
-      parse_bench_args({"--families", "torus debruijn"});
-  EXPECT_EQ(bench.families, (std::vector<std::string>{"torus", "debruijn"}));
+  // List flags accept commas and/or whitespace.
   const SweepOptions sweep =
       parse_sweep_args({"--families", "torus debruijn"});
   EXPECT_EQ(sweep.spec.families,
             (std::vector<std::string>{"torus", "debruijn"}));
 }
 
-TEST(CliParse, BenchRejectsUnknownFamily) {
-  EXPECT_THROW(parse_bench_args({"--families", "torus,nope"}), UsageError);
+TEST(CliParse, SweepRejectsUnknownFamilyInList) {
+  EXPECT_THROW(parse_sweep_args({"--families", "torus,nope"}), UsageError);
 }
 
 TEST(CliParse, SweepFullFlagSet) {
@@ -244,6 +213,9 @@ TEST(CliMain, UnknownSubcommandExitsTwo) {
   EXPECT_TRUE(out.str().empty());
   EXPECT_NE(err.str().find("unknown subcommand"), std::string::npos);
   EXPECT_NE(err.str().find("Usage:"), std::string::npos);
+  std::ostringstream bout, berr;
+  EXPECT_EQ(cli_main({"bench", "--families", "torus"}, bout, berr), 2);
+  EXPECT_NE(berr.str().find("unknown subcommand 'bench'"), std::string::npos);
 }
 
 TEST(CliMain, RunVerifyTorusEndToEnd) {
@@ -325,15 +297,6 @@ TEST(CliMain, VerifyDetectsMismatch) {
                      vout, verr),
             1);
   EXPECT_NE(vout.str().find("MISMATCH"), std::string::npos);
-}
-
-TEST(CliMain, BenchPrintsModelTimeTable) {
-  std::ostringstream out, err;
-  const int rc = cli_main(
-      {"bench", "--families", "torus", "--sizes", "9"}, out, err);
-  EXPECT_EQ(rc, 0) << err.str();
-  EXPECT_NE(out.str().find("ticks/(N*D)"), std::string::npos);
-  EXPECT_NE(out.str().find("torus"), std::string::npos);
 }
 
 TEST(CliMain, SweepJsonRoundTripIdenticalAcrossThreadCounts) {

@@ -471,6 +471,36 @@ TEST(ServiceProtocol, ErrorsAreStructuredResponses) {
       std::string::npos);
 }
 
+TEST(ServiceProtocol, PipelinedDuplicateFollowsItsPredecessorIntoTheCache) {
+  // The later twin makes its cache lookup only after the earlier one has,
+  // so the earlier twin is the miss whichever worker reaches the cache
+  // first.
+  for (int round = 0; round < 20; ++round) {
+    ServiceOptions opt;
+    opt.workers = 4;
+    Service svc(opt);
+    const std::uint64_t first = svc.submit(determine_line("torus", 9));
+    const std::uint64_t second = svc.submit(determine_line("torus", 9), first);
+    const std::string r1 = svc.wait(first);
+    const std::string r2 = svc.wait(second);
+    EXPECT_NE(r1.find("\"cache\": \"miss\""), std::string::npos) << r1;
+    EXPECT_TRUE(r2.find("\"cache\": \"hit\"") != std::string::npos ||
+                r2.find("\"cache\": \"coalesced\"") != std::string::npos)
+        << r2;
+  }
+  // A predecessor that never reaches the cache does not hold its
+  // successor up.
+  ServiceOptions opt;
+  opt.workers = 2;
+  Service svc(opt);
+  const std::uint64_t bad = svc.submit("not json");
+  const std::uint64_t stats = svc.submit(R"({"op": "stats"})", bad);
+  const std::uint64_t det = svc.submit(determine_line("torus", 9), stats);
+  EXPECT_NE(svc.wait(bad).find("\"ok\": false"), std::string::npos);
+  EXPECT_NE(svc.wait(stats).find("\"ok\": true"), std::string::npos);
+  EXPECT_NE(svc.wait(det).find("\"cache\": \"miss\""), std::string::npos);
+}
+
 TEST(ServiceLifecycle, ShutdownFlagsAndDrains) {
   Service svc(ServiceOptions{});
   EXPECT_FALSE(svc.shutdown_requested());

@@ -1,12 +1,19 @@
 // Unit tests for src/support: fixed containers, RNG, statistics, tables,
-// the persistent thread pool, and the affinity helper.
+// and the persistent thread pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <fstream>
 #include <stdexcept>
+#include <string>
 
-#include "support/affinity.hpp"
+#if defined(__linux__)
+#include <sys/resource.h>
+#include <unistd.h>
+#endif
+
 #include "support/bytes.hpp"
 #include "support/error.hpp"
 #include "support/fixed_vector.hpp"
@@ -313,20 +320,49 @@ TEST(ThreadPool, SingleThreadRunsInline) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(ThreadPool, PinnedSmoke) {
-  // Pinning is best-effort: pinned() may come back false in restricted
-  // sandboxes, but requesting it must never break dispatch.
-  ThreadPoolOptions opt;
-  opt.num_threads = 2;
-  opt.pin_threads = true;
-  ThreadPool pool(opt);
-  std::atomic<int> hits{0};
-  pool.run([&](int) { hits.fetch_add(1); });
-  EXPECT_EQ(hits.load(), 2);
-}
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DTOP_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define DTOP_TEST_SANITIZED 1
+#endif
+#endif
 
-TEST(Affinity, AvailableCpusPositive) {
-  EXPECT_GE(available_cpus(), 1);
+#if defined(__linux__)
+// Caps the address space at the current size plus `headroom` bytes: room
+// for small allocations, none for dozens of thread stacks.
+void cap_address_space(std::size_t headroom) {
+  std::size_t pages = 0;
+  std::ifstream("/proc/self/statm") >> pages;
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  const rlimit lim{pages * page + headroom, pages * page + headroom};
+  if (setrlimit(RLIMIT_AS, &lim) != 0) std::_Exit(4);
+}
+#endif
+
+TEST(ThreadPool, SpawnFailureThrowsErrorInsteadOfAborting) {
+#if defined(DTOP_TEST_SANITIZED)
+  GTEST_SKIP() << "sanitizer shadow memory needs a large address space";
+#elif !defined(__linux__)
+  GTEST_SKIP() << "needs RLIMIT_AS and /proc/self/statm";
+#else
+  // A std::thread that cannot start throws std::system_error; the pool must
+  // join the workers it already started and throw dtop::Error, not let the
+  // half-built thread vector call std::terminate.
+  EXPECT_EXIT(
+      {
+        cap_address_space(std::size_t{32} << 20);
+        try {
+          ThreadPool pool(64);
+        } catch (const Error& e) {
+          const std::string what = e.what();
+          std::_Exit(what.find("64 threads") != std::string::npos ? 0 : 2);
+        }
+        std::_Exit(3);
+      },
+      ::testing::ExitedWithCode(0), "");
+#endif
 }
 
 }  // namespace
