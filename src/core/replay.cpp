@@ -6,6 +6,11 @@
 // outputs (every other event the re-execution must reproduce). Because the
 // engine is deterministic, the produced stream either matches the recording
 // event-for-event or the first mismatch localizes the problem to a tick.
+//
+// Events are compared as they are produced: after each tick (and after each
+// re-applied external event) the live recorder's new events are checked
+// against the recording and then dropped, so beyond the recording itself
+// replay holds one tick's events, never a second copy of the run.
 #include "core/gtd.hpp"
 
 namespace dtop {
@@ -79,31 +84,34 @@ ReplayResult replay_gtd(const trace::RecordedTrace& rec, int num_threads,
                        rec.events.back().kind == trace::TraceEventKind::kRunEnd;
   const Tick budget = has_end ? end_tick : end_tick + 8;
 
-  // Compares everything produced so far against the recorded prefix;
-  // returns false (and fills rr) on the first mismatch.
+  // Compares the events produced since the last call against the
+  // recording, then drops them from the live recorder; returns false (and
+  // fills rr) on the first mismatch. `checked` counts the events compared
+  // so far: it is the global index into rec.events of the next one.
   std::size_t checked = 0;
   const auto in_sync = [&]() {
-    const std::vector<trace::TraceEvent>& got = live.events();
-    for (; checked < got.size(); ++checked) {
+    for (const trace::TraceEvent& got : live.events()) {
       if (checked >= rec.events.size()) {
         rr.diverged = true;
         rr.event_index = checked;
-        rr.tick = got[checked].tick;
+        rr.tick = got.tick;
         rr.detail = "replay produced an event past the end of the recording: " +
-                    to_string(got[checked]);
+                    to_string(got);
         return false;
       }
-      if (!(got[checked] == rec.events[checked])) {
+      if (!(got == rec.events[checked])) {
         rr.diverged = true;
         rr.event_index = checked;
         rr.tick = rec.events[checked].tick;
         rr.detail = "first divergence at event " + std::to_string(checked) +
                     " (tick " + std::to_string(rr.tick) + "): recorded " +
                     to_string(rec.events[checked]) + ", replay produced " +
-                    to_string(got[checked]);
+                    to_string(got);
         return false;
       }
+      ++checked;
     }
+    live.clear_events();
     return true;
   };
 

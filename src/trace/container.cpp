@@ -333,31 +333,36 @@ void TraceFile::scan_frames(std::size_t events_begin) {
   }
 }
 
-const std::vector<TraceEvent>& TraceFile::block_events(std::size_t i) {
-  Block& b = blocks_[i];
-  if (b.decoded) return b.cache;
+void TraceFile::decode_block(std::size_t i, std::vector<TraceEvent>& out) {
+  const Block& b = blocks_[i];
   const Frame f = parse_frame(buf_, static_cast<std::size_t>(b.offset));
   if (f.kind != kFrameEvents) {
     throw TraceError("trace corrupt: index points at a non-event frame");
   }
   const std::string raw = codec_decompress(f.codec, f.stored, f.raw_size);
   ByteReader rs(raw);
-  std::vector<TraceEvent> evs;
-  evs.reserve(static_cast<std::size_t>(b.events));
+  const std::size_t first = out.size();
   Tick lt = 0;
   TraceEvent ev;
-  while (read_event_record(rs, ev, lt)) evs.push_back(ev);
+  while (read_event_record(rs, ev, lt)) out.push_back(ev);
   if (indexed_) {
     // The index is what seeks and stats trust; a block that disagrees with
     // it would silently skew both.
-    if (evs.size() != b.events ||
-        (!evs.empty() && evs.front().tick != b.first_tick)) {
+    if (out.size() - first != b.events ||
+        (out.size() > first && out[first].tick != b.first_tick)) {
       throw TraceError("trace corrupt: block disagrees with seek index");
     }
   }
-  b.cache = std::move(evs);
-  b.decoded = true;
   ++blocks_decoded_;
+}
+
+const std::vector<TraceEvent>& TraceFile::block_events(std::size_t i) {
+  Block& b = blocks_[i];
+  if (!b.decoded) {
+    b.cache.reserve(static_cast<std::size_t>(b.events));
+    decode_block(i, b.cache);
+    b.decoded = true;
+  }
   return b.cache;
 }
 
@@ -408,16 +413,21 @@ RecordedTrace TraceFile::read_all() {
   t.events.reserve(static_cast<std::size_t>(total_events_));
   Tick prev = 0;
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    const std::vector<TraceEvent>& evs = block_events(i);
-    if (!evs.empty()) {
+    const std::size_t first = t.events.size();
+    if (blocks_[i].decoded) {
+      t.events.insert(t.events.end(), blocks_[i].cache.begin(),
+                      blocks_[i].cache.end());
+    } else {
+      decode_block(i, t.events);
+    }
+    if (t.events.size() > first) {
       // Within a block the delta coding forces tick order; across blocks a
       // crafted file could rewind time.
-      if (evs.front().tick < prev) {
+      if (t.events[first].tick < prev) {
         throw TraceError("trace corrupt: blocks out of tick order");
       }
-      prev = evs.back().tick;
+      prev = t.events.back().tick;
     }
-    t.events.insert(t.events.end(), evs.begin(), evs.end());
   }
   return t;
 }

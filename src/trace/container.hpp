@@ -149,7 +149,9 @@ class TraceFile {
   // Index of the first event with tick >= t (== num_events() when past the
   // end). Binary-searches the block index and decodes at most one block.
   std::uint64_t first_event_at_tick(Tick t);
-  // The whole trace, materialized.
+  // The whole trace, materialized. Blocks an earlier seek decoded are
+  // copied from their cache; the rest decode straight into the result and
+  // are not cached, so the file never holds a second copy of the trace.
   RecordedTrace read_all();
 
  private:
@@ -164,6 +166,10 @@ class TraceFile {
 
   bool try_load_index();
   void scan_frames(std::size_t events_begin);
+  // Decompresses block i onto the end of `out` (cross-checked against the
+  // seek index when there is one) and counts it in blocks_decoded().
+  void decode_block(std::size_t i, std::vector<TraceEvent>& out);
+  // Block i's events, decoded and cached on first use.
   const std::vector<TraceEvent>& block_events(std::size_t i);
 
   TraceHeader header_;

@@ -44,6 +44,11 @@ class TraceRecorder final : public EngineTraceSink<Character>,
   bool finished() const { return finished_; }
   const TraceHeader& header() const;
   const std::vector<TraceEvent>& events() const { return events_; }
+  // Drops the events captured so far (keeping the buffer's capacity) and
+  // leaves the begin()..finish() window as it is. A consumer that reads
+  // events() as they arrive — replay compares each tick's events, then
+  // clears — holds one tick of them instead of the whole run.
+  void clear_events() { events_.clear(); }
 
   // Moves the capture out as a self-contained trace.
   RecordedTrace take();

@@ -54,15 +54,21 @@ inline constexpr int kNumTraceEventKinds = 12;
 const char* to_cstr(TraceEventKind k);
 
 struct TraceEvent {
-  TraceEventKind kind = TraceEventKind::kSchedule;
   Tick tick = 0;
   std::uint32_t a = 0;   // node, wire, or sub-kind (see TraceEventKind)
+  Character payload{};   // kWireSend / kInject only (blank otherwise)
+  TraceEventKind kind = TraceEventKind::kSchedule;
   std::uint8_t b = 0;    // small auxiliary field
   std::uint8_t c = 0;
-  Character payload{};   // kWireSend / kInject only (blank otherwise)
 
   bool operator==(const TraceEvent&) const = default;
 };
+// Layout: the 8-byte tick first, then a (4) and the 28-byte payload, then
+// the three one-byte fields in what would otherwise be tail padding: 43
+// bytes used, 48 with alignment. A one-byte field ahead of the tick would
+// pad it out to 56. Recordings hold millions of these; the on-disk encoding
+// is field by field (trace_io.hpp), so the layout is free to change.
+static_assert(sizeof(TraceEvent) == 48);
 
 // One-line rendering: "t=12 send wire=3 [IGH(0,*)]".
 std::string to_string(const TraceEvent& ev);

@@ -145,6 +145,78 @@ TEST(Replay, DetectsDroppedEvent) {
   EXPECT_LE(r.event_index, victim + 1);
 }
 
+// The two end-of-stream reports. Replay compares each tick's events as
+// they are produced and then drops them, so both cases use a run of
+// several thousand ticks: the divergence lands long after the first drop,
+// and event_index must still be the global position in the recording.
+TEST(Replay, ReportsARecordingCutShortMidRun) {
+  const trace::RecordedTrace full = record_run(directed_torus(4, 4), 1);
+  ASSERT_GT(full.events.back().tick, 1000);
+  const std::size_t n = full.events.size();
+  for (const std::size_t cut : {n / 7, n / 2}) {
+    trace::RecordedTrace t = full;
+    t.events.resize(cut);  // no run-end record: the run "died" here
+    const ReplayResult r = replay_gtd(t);
+    EXPECT_FALSE(r.ok) << "cut=" << cut;
+    EXPECT_TRUE(r.diverged) << "cut=" << cut;
+    EXPECT_EQ(r.event_index, cut);
+    EXPECT_EQ(r.tick, full.events[cut].tick);
+    EXPECT_NE(r.detail.find("past the end of the recording"),
+              std::string::npos)
+        << r.detail;
+  }
+}
+
+TEST(Replay, ReportsARecordingThatOutlivesTheReplay) {
+  // A second copy of the run-end record: the recording still ends cleanly,
+  // so replay re-executes the whole run and writes its own run-end, then
+  // finds one recorded event it never produced.
+  trace::RecordedTrace t = record_run(directed_torus(4, 4), 1);
+  const std::size_t original = t.events.size();
+  ASSERT_EQ(t.events.back().kind, trace::TraceEventKind::kRunEnd);
+  t.events.push_back(t.events.back());
+  const ReplayResult r = replay_gtd(t);
+  EXPECT_FALSE(r.ok);
+  EXPECT_TRUE(r.diverged);
+  EXPECT_EQ(r.event_index, original);
+  EXPECT_EQ(r.tick, t.events.back().tick);
+  EXPECT_NE(r.detail.find("was never produced"), std::string::npos)
+      << r.detail;
+}
+
+// The three Lemma 4.2 reproducers (ROADMAP item 1): random strongly
+// connected delta = 2 networks on which the run from root 0 was found to
+// die in a DTOP_CHECK. Whether or not a run dies, its recording must
+// replay faithfully — the partial trace of a violation reproduces the
+// violation.
+TEST(Replay, Lemma42ReproducersReplayFaithfully) {
+  struct Reproducer {
+    NodeId nodes;
+    std::uint64_t seed;
+  };
+  const Reproducer reproducers[] = {
+      {32, 170000542ull}, {40, 1458004414ull}, {34, 17088135744694394290ull}};
+  for (const Reproducer& rp : reproducers) {
+    const PortGraph g = random_strongly_connected({.nodes = rp.nodes,
+                                                   .delta = 2,
+                                                   .avg_out_degree = 1.75,
+                                                   .seed = rp.seed});
+    trace::TraceRecorder rec;
+    GtdOptions opt;
+    opt.trace = &rec;
+    try {
+      (void)run_gtd(g, 0, opt);
+    } catch (const Error&) {
+      // The violation under investigation; the partial trace is kept.
+    }
+    const trace::RecordedTrace t = rec.take();
+    ASSERT_FALSE(t.events.empty()) << "seed " << rp.seed;
+    const ReplayResult r = replay_gtd(t);
+    EXPECT_TRUE(r.ok) << "nodes " << rp.nodes << " seed " << rp.seed << ": "
+                      << r.detail;
+  }
+}
+
 TEST(Replay, ReproducesInjectedFaultRuns) {
   // A recorded run with a fault injection replays through the same
   // injection path: the kInject event is both script and oracle.

@@ -288,6 +288,15 @@ TEST(Dtr2Seek, WindowedReadsDecodeOnlyTouchedBlocks) {
   TraceFile f2(ss2);
   (void)f2.first_event_at_tick(35);
   EXPECT_LE(f2.blocks_decoded(), 1);
+
+  // read_all after those seeks copies the cached block and decodes the rest
+  // straight into its result: the same events as a fresh file, with every
+  // block decompressed exactly once.
+  for (TraceFile* seeked : {&f, &f2}) {
+    EXPECT_EQ(seeked->read_all().events, t.events);
+    EXPECT_EQ(seeked->blocks_decoded(),
+              static_cast<int>(seeked->num_blocks()));
+  }
 }
 
 // --- corruption sweeps ----------------------------------------------------
@@ -359,6 +368,15 @@ TEST(Dtr2Corruption, DamagedTrailerFallsBackToFullScan) {
   EXPECT_EQ(f.num_events(), t.events.size());  // recomputed by the scan
   const RecordedTrace back = f.read_all();
   EXPECT_EQ(back.events, t.events);
+
+  // The same after seeks: the scan decoded every block already, and
+  // read_all copies them from the cache without decompressing again.
+  std::stringstream ss2(bytes);
+  TraceFile f2(ss2);
+  (void)f2.events_in_range(t.events.size() / 2, 3);
+  (void)f2.first_event_at_tick(7);
+  EXPECT_EQ(f2.read_all().events, t.events);
+  EXPECT_EQ(f2.blocks_decoded(), static_cast<int>(f2.num_blocks()));
 }
 
 TEST(Dtr2Corruption, OversizedFrameClaimIsRejectedBeforeAllocating) {
