@@ -1,132 +1,75 @@
 #include "graph/analysis.hpp"
 
 #include <algorithm>
-#include <queue>
 
 namespace dtop {
 namespace {
 
-// Forward adjacency as node lists (ignoring ports).
-std::vector<std::vector<NodeId>> forward_adjacency(const PortGraph& g) {
-  std::vector<std::vector<NodeId>> adj(g.num_nodes());
-  for (WireId w : g.wire_ids()) {
-    const Wire& wr = g.wire(w);
-    adj[wr.from].push_back(wr.to);
-  }
-  return adj;
-}
-
-std::vector<std::vector<NodeId>> reverse_adjacency(const PortGraph& g) {
-  std::vector<std::vector<NodeId>> adj(g.num_nodes());
-  for (WireId w : g.wire_ids()) {
-    const Wire& wr = g.wire(w);
-    adj[wr.to].push_back(wr.from);
-  }
-  return adj;
-}
-
-std::vector<std::uint32_t> bfs(const std::vector<std::vector<NodeId>>& adj,
-                               NodeId src) {
-  std::vector<std::uint32_t> dist(adj.size(), kUnreachable);
-  std::queue<NodeId> q;
+// Breadth-first search over the port tables from `src`, following out-wires
+// (forward) or in-wires (`reverse`). Fills `dist` and leaves the visit order
+// in `queue`, so queue.size() is the number of nodes reached and
+// dist[queue.back()] the largest distance. O(N * delta), no adjacency lists.
+void bfs(const PortGraph& g, NodeId src, bool reverse,
+         std::vector<std::uint32_t>& dist, std::vector<NodeId>& queue) {
+  dist.assign(g.num_nodes(), kUnreachable);
+  queue.clear();
+  queue.reserve(g.num_nodes());
   dist[src] = 0;
-  q.push(src);
-  while (!q.empty()) {
-    const NodeId u = q.front();
-    q.pop();
-    for (NodeId v : adj[u]) {
+  queue.push_back(src);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
+    for (Port p = 0; p < g.delta(); ++p) {
+      const WireId w = reverse ? g.in_wire(u, p) : g.out_wire(u, p);
+      if (w == kNoWire) continue;
+      const Wire& wr = g.wire(w);
+      const NodeId v = reverse ? wr.from : wr.to;
       if (dist[v] == kUnreachable) {
         dist[v] = dist[u] + 1;
-        q.push(v);
+        queue.push_back(v);
       }
     }
   }
+}
+
+std::vector<std::uint32_t> bfs(const PortGraph& g, NodeId src, bool reverse) {
+  std::vector<std::uint32_t> dist;
+  std::vector<NodeId> queue;
+  bfs(g, src, reverse, dist, queue);
   return dist;
 }
 
 }  // namespace
 
 std::vector<std::uint32_t> bfs_distances(const PortGraph& g, NodeId src) {
-  return bfs(forward_adjacency(g), src);
+  return bfs(g, src, false);
 }
 
 std::vector<std::uint32_t> bfs_distances_to(const PortGraph& g, NodeId dst) {
-  return bfs(reverse_adjacency(g), dst);
-}
-
-SccResult strongly_connected_components(const PortGraph& g) {
-  // Iterative Tarjan.
-  const NodeId n = g.num_nodes();
-  auto adj = forward_adjacency(g);
-  SccResult r;
-  r.component.assign(n, kUnreachable);
-
-  std::vector<std::uint32_t> index(n, kUnreachable), lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<NodeId> stack;
-  std::uint32_t next_index = 0;
-
-  struct Frame {
-    NodeId v;
-    std::size_t child;
-  };
-  std::vector<Frame> call;
-
-  for (NodeId start = 0; start < n; ++start) {
-    if (index[start] != kUnreachable) continue;
-    call.push_back({start, 0});
-    index[start] = lowlink[start] = next_index++;
-    stack.push_back(start);
-    on_stack[start] = true;
-
-    while (!call.empty()) {
-      Frame& f = call.back();
-      if (f.child < adj[f.v].size()) {
-        const NodeId w = adj[f.v][f.child++];
-        if (index[w] == kUnreachable) {
-          index[w] = lowlink[w] = next_index++;
-          stack.push_back(w);
-          on_stack[w] = true;
-          call.push_back({w, 0});
-        } else if (on_stack[w]) {
-          lowlink[f.v] = std::min(lowlink[f.v], index[w]);
-        }
-      } else {
-        if (lowlink[f.v] == index[f.v]) {
-          for (;;) {
-            const NodeId w = stack.back();
-            stack.pop_back();
-            on_stack[w] = false;
-            r.component[w] = r.count;
-            if (w == f.v) break;
-          }
-          ++r.count;
-        }
-        const NodeId v = f.v;
-        call.pop_back();
-        if (!call.empty())
-          lowlink[call.back().v] =
-              std::min(lowlink[call.back().v], lowlink[v]);
-      }
-    }
-  }
-  return r;
+  return bfs(g, dst, true);
 }
 
 bool is_strongly_connected(const PortGraph& g) {
-  return strongly_connected_components(g).count == 1;
+  // Strongly connected iff node 0 reaches every node and every node
+  // reaches node 0.
+  if (g.num_nodes() == 0) return false;
+  std::vector<std::uint32_t> dist;
+  std::vector<NodeId> queue;
+  for (const bool reverse : {false, true}) {
+    bfs(g, 0, reverse, dist, queue);
+    if (queue.size() != g.num_nodes()) return false;
+  }
+  return true;
 }
 
 std::uint32_t diameter(const PortGraph& g) {
   DTOP_REQUIRE(is_strongly_connected(g), "diameter of non-SC graph");
-  auto adj = forward_adjacency(g);
+  std::vector<std::uint32_t> dist;
+  std::vector<NodeId> queue;
   std::uint32_t d = 0;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const auto dist = bfs(adj, v);
-    for (std::uint32_t x : dist) {
-      DTOP_CHECK(x != kUnreachable, "unreachable pair in SC graph");
-      d = std::max(d, x);
-    }
+    bfs(g, v, false, dist, queue);
+    DTOP_CHECK(queue.size() == g.num_nodes(), "unreachable pair in SC graph");
+    d = std::max(d, dist[queue.back()]);
   }
   return d;
 }

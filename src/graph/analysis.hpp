@@ -1,6 +1,7 @@
 // Graph analysis used both to validate generated networks (the paper requires
 // strong connectivity) and to compute the ground-truth quantities the
-// experiments compare against (distances, diameter).
+// experiments compare against (distances, diameter). Every query is built on
+// one breadth-first search over the port tables, O(N * delta) per source.
 #pragma once
 
 #include <cstdint>
@@ -18,14 +19,8 @@ std::vector<std::uint32_t> bfs_distances(const PortGraph& g, NodeId src);
 // Distances *to* `dst` along forward edges (BFS on the reverse graph).
 std::vector<std::uint32_t> bfs_distances_to(const PortGraph& g, NodeId dst);
 
-// Tarjan strongly-connected components; returns component id per node and
-// the number of components.
-struct SccResult {
-  std::vector<std::uint32_t> component;
-  std::uint32_t count = 0;
-};
-SccResult strongly_connected_components(const PortGraph& g);
-
+// Every node reaches every other (two searches from node 0, one along the
+// wires and one against them). False for an empty graph.
 bool is_strongly_connected(const PortGraph& g);
 
 // Directed diameter: max over ordered pairs of hop distance. Requires strong

@@ -1,6 +1,7 @@
 #include "graph/canonical.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
 
 #include "graph/analysis.hpp"
@@ -79,43 +80,65 @@ CanonicalForm canonical_form(const PortGraph& g, NodeId root) {
   DTOP_REQUIRE(root < g.num_nodes(), "canonical_form: root out of range");
   const CanonicalTree tree = canonical_bfs_tree(g, root);
   const NodeId n = g.num_nodes();
-
-  // Canonical root paths name nodes uniquely (walking a path from the root
-  // is deterministic), so sorting them yields a total order — the root's
-  // empty path first, then lexicographically by (out, in) steps. Distances
-  // are path lengths, so the order is also BFS-level compatible.
-  std::vector<PortPath> paths(n);
   for (NodeId v = 0; v < n; ++v) {
     DTOP_REQUIRE(tree.dist[v] != kUnreachable,
                  "canonical_form: node " + std::to_string(v) +
                      " unreachable from root " + std::to_string(root));
-    paths[v] = canonical_path(g, tree, v);
   }
+
+  // Canonical root paths name nodes uniquely, and their lexicographic order
+  // is a pre-order walk of the canonical tree with children visited in
+  // out-port order: a path sorts after its own prefix, and two paths first
+  // differ where they leave one node by different out-ports (an out-port
+  // carries one wire, so the out-port alone decides). Popping a stack that
+  // receives each node's children last port first walks that order.
   CanonicalForm form;
-  form.order.resize(n);
-  for (NodeId v = 0; v < n; ++v) form.order[v] = v;
-  std::sort(form.order.begin(), form.order.end(),
-            [&](NodeId a, NodeId b) { return paths[a] < paths[b]; });
+  form.order.reserve(n);
   std::vector<NodeId> rank(n);
-  for (NodeId r = 0; r < n; ++r) rank[form.order[r]] = r;
+  std::vector<NodeId> stack{root};
+  while (!stack.empty()) {
+    const NodeId u = stack.back();
+    stack.pop_back();
+    rank[u] = static_cast<NodeId>(form.order.size());
+    form.order.push_back(u);
+    for (Port p = g.delta(); p-- > 0;) {
+      const WireId w = g.out_wire(u, p);
+      if (w != kNoWire && tree.parent_wire[g.wire(w).to] == w)
+        stack.push_back(g.wire(w).to);
+    }
+  }
 
   // Serialize the whole network in canonical ranks. Edge order is fixed by
   // (rank, out-port), so the bytes are a pure function of the rooted
-  // port-labelled structure.
-  std::ostringstream os;
-  os << "dtop-cf v1 " << static_cast<int>(g.delta()) << " " << n << " "
-     << g.num_wires() << "\n";
+  // port-labelled structure. A wire line is at most 2 * width + 6 bytes
+  // (ports are one digit), so one reservation holds the whole form.
+  static_assert(kMaxDegree <= 10, "a port must print as one digit");
+  std::string& out = form.bytes;
+  char buf[24];
+  const auto put = [&](std::uint64_t x, char sep) {
+    char* end = std::to_chars(buf, buf + sizeof buf, x).ptr;
+    *end++ = sep;
+    out.append(buf, end);
+  };
+  const auto width = static_cast<std::size_t>(
+      std::to_chars(buf, buf + sizeof buf, n).ptr - buf);
+  out.reserve(40 + static_cast<std::size_t>(g.num_wires()) * (2 * width + 6));
+  out += "dtop-cf v1 ";
+  put(g.delta(), ' ');
+  put(n, ' ');
+  put(g.num_wires(), '\n');
   for (NodeId r = 0; r < n; ++r) {
     const NodeId v = form.order[r];
     for (Port p = 0; p < g.delta(); ++p) {
       const WireId w = g.out_wire(v, p);
       if (w == kNoWire) continue;
       const Wire& wr = g.wire(w);
-      os << r << " " << static_cast<int>(p) << " " << rank[wr.to] << " "
-         << static_cast<int>(wr.in_port) << "\n";
+      put(r, ' ');
+      put(p, ' ');
+      put(rank[wr.to], ' ');
+      put(wr.in_port, '\n');
     }
   }
-  form.bytes = os.str();
   form.hash = fnv1a64(form.bytes);
   return form;
 }

@@ -65,6 +65,14 @@ NodeId walk_path(const PortGraph& g, NodeId start, const PortPath& path);
 // non-rooted-isomorphic networks. The dtopd result cache keys on this hash:
 // any relabelling of a solved (network, root) instance is a cache hit.
 //
+// The lexicographic order of canonical root paths is a pre-order walk of the
+// canonical BFS tree, visiting each node's children in out-port order (a
+// path sorts after its prefix; sibling subtrees differ first at one node's
+// out-port, and an out-port has one wire). canonical_form ranks by that walk,
+// so the whole form costs O(N * delta): no per-node paths, no sort. The
+// order is not BFS-level order: on the 8-node de Bruijn graph rooted at 1,
+// node 4 (two hops) ranks before node 3 (one hop).
+//
 // Requires every node reachable from `root` (the model's own requirement);
 // throws Error otherwise.
 struct CanonicalForm {

@@ -36,26 +36,33 @@ std::string csv_quote(const std::string& s) {
 
 }  // namespace
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const unsigned char c : s) {
+void json_escape_append(std::string& out, std::string_view s) {
+  std::size_t run = 0;  // first byte not yet copied
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(esc, sizeof esc);
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  json_escape_append(out, s);
   return out;
 }
 

@@ -8,6 +8,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "runner/runner.hpp"
 
@@ -25,6 +26,12 @@ void write_json(std::ostream& os, const CampaignResult& result,
 void write_csv(std::ostream& os, const CampaignResult& result,
                const EmitOptions& opt = {});
 
-std::string json_escape(const std::string& s);
+// The repo's one JSON string escaper: `"`, `\`, \n, \r and \t get their
+// short escapes, other bytes below 0x20 become \u00xx (lowercase hex), and
+// every other byte (0x7F and UTF-8 included) is copied verbatim.
+// `json_escape_append` appends the escaped text to `out`, copying each run of
+// plain bytes in one append.
+void json_escape_append(std::string& out, std::string_view s);
+std::string json_escape(std::string_view s);
 
 }  // namespace dtop::runner

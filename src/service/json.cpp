@@ -208,7 +208,8 @@ std::string JsonObject::raw_token(const std::string& key) const {
     case JsonValue::Kind::kNull: return "null";
     case JsonValue::Kind::kBool: return v->boolean ? "true" : "false";
     case JsonValue::Kind::kNumber: return v->text;
-    case JsonValue::Kind::kString: return "\"" + json_escape(v->text) + "\"";
+    case JsonValue::Kind::kString:
+      return "\"" + runner::json_escape(v->text) + "\"";
   }
   return "";
 }
@@ -250,12 +251,6 @@ JsonObject parse_json_object(const std::string& line) {
   return obj;
 }
 
-std::string json_escape(const std::string& s) {
-  // One escaping implementation for the whole repo: the campaign emitters
-  // own it, and daemon responses must escape byte-identically to them.
-  return runner::json_escape(s);
-}
-
 std::string balanced_object(const std::string& s, std::size_t open) {
   DTOP_REQUIRE(open < s.size() && s[open] == '{',
                "malformed response: expected '{'");
@@ -285,46 +280,47 @@ std::string extract_object(const std::string& line, const std::string& key) {
   return balanced_object(line, at + marker.size() - 1);
 }
 
-void JsonWriter::key(const std::string& k) {
+void JsonWriter::key(std::string_view k) {
   if (!first_) out_ += ", ";
   first_ = false;
   out_ += '"';
-  out_ += json_escape(k);
+  runner::json_escape_append(out_, k);
   out_ += "\": ";
 }
 
-JsonWriter& JsonWriter::field(const std::string& k, const std::string& value) {
+JsonWriter& JsonWriter::field(std::string_view k, std::string_view value) {
   key(k);
   out_ += '"';
-  out_ += json_escape(value);
+  runner::json_escape_append(out_, value);
   out_ += '"';
   return *this;
 }
 
-JsonWriter& JsonWriter::field(const std::string& k, const char* value) {
-  return field(k, std::string(value));
+JsonWriter& JsonWriter::field(std::string_view k, const char* value) {
+  return field(k, std::string_view(value));
 }
 
-JsonWriter& JsonWriter::field(const std::string& k, std::uint64_t value) {
+JsonWriter& JsonWriter::field(std::string_view k, std::uint64_t value) {
   key(k);
-  out_ += std::to_string(value);
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
   return *this;
 }
 
-JsonWriter& JsonWriter::field(const std::string& k, std::int64_t value) {
+JsonWriter& JsonWriter::field(std::string_view k, std::int64_t value) {
   key(k);
-  out_ += std::to_string(value);
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
   return *this;
 }
 
-JsonWriter& JsonWriter::field(const std::string& k, bool value) {
+JsonWriter& JsonWriter::field(std::string_view k, bool value) {
   key(k);
   out_ += value ? "true" : "false";
   return *this;
 }
 
-JsonWriter& JsonWriter::field_raw(const std::string& k,
-                                  const std::string& token) {
+JsonWriter& JsonWriter::field_raw(std::string_view k, std::string_view token) {
   key(k);
   out_ += token;
   return *this;

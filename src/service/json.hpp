@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/error.hpp"
@@ -73,8 +74,6 @@ class JsonObject {
 // containers, duplicate keys, or trailing garbage.
 JsonObject parse_json_object(const std::string& line);
 
-std::string json_escape(const std::string& s);
-
 // Response-side helpers for the nested sub-objects daemons splice into a
 // line via JsonWriter::field_raw (which the flat request parser deliberately
 // rejects). `balanced_object` returns the balanced {...} starting at `open`
@@ -85,23 +84,25 @@ std::string json_escape(const std::string& s);
 std::string balanced_object(const std::string& s, std::size_t open);
 std::string extract_object(const std::string& line, const std::string& key);
 
-// Builds a single-line JSON object, fields in call order.
+// Builds a single-line JSON object, fields in call order. Keys and string
+// values are escaped (runner::json_escape's rules) straight into the line.
 class JsonWriter {
  public:
-  JsonWriter& field(const std::string& key, const std::string& value);
-  JsonWriter& field(const std::string& key, const char* value);
-  JsonWriter& field(const std::string& key, std::uint64_t value);
-  JsonWriter& field(const std::string& key, std::int64_t value);
-  JsonWriter& field(const std::string& key, bool value);
+  JsonWriter& field(std::string_view key, std::string_view value);
+  // A string literal would otherwise convert to bool before string_view.
+  JsonWriter& field(std::string_view key, const char* value);
+  JsonWriter& field(std::string_view key, std::uint64_t value);
+  JsonWriter& field(std::string_view key, std::int64_t value);
+  JsonWriter& field(std::string_view key, bool value);
   // Splices a pre-rendered JSON token or fragment (an echoed id, a nested
   // object built by another writer).
-  JsonWriter& field_raw(const std::string& key, const std::string& token);
+  JsonWriter& field_raw(std::string_view key, std::string_view token);
 
   // Closes the object. The writer must not be reused afterwards.
   std::string str();
 
  private:
-  void key(const std::string& k);
+  void key(std::string_view k);
   std::string out_ = "{";
   bool first_ = true;
 };

@@ -2,6 +2,7 @@
 // network families.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -140,19 +141,72 @@ TEST(CanonicalForm, RequiresReachabilityFromRoot) {
   EXPECT_THROW(canonical_form(g, 0), Error);
 }
 
+// The ranking by its definition: every node's canonical root path, sorted
+// lexicographically (the root's empty path first).
+std::vector<NodeId> ranking_by_definition(const PortGraph& g, NodeId root) {
+  const CanonicalTree tree = canonical_bfs_tree(g, root);
+  std::vector<PortPath> paths(g.num_nodes());
+  std::vector<NodeId> order(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    paths[v] = canonical_path(g, tree, v);
+    order[v] = v;
+  }
+  std::sort(order.begin(), order.end(),
+            [&](NodeId a, NodeId b) { return paths[a] < paths[b]; });
+  return order;
+}
+
 TEST(CanonicalForm, OrderIsTheCanonicalRanking) {
   // order[r] is the original id of canonical rank r; rank 0 is the root and
-  // ranks follow the lexicographic order of canonical root paths.
-  const PortGraph g = random_strongly_connected(
-      {.nodes = 24, .delta = 4, .avg_out_degree = 2.5, .seed = 11});
-  const CanonicalForm form = canonical_form(g, 5);
-  ASSERT_EQ(form.order.size(), g.num_nodes());
-  EXPECT_EQ(form.order[0], 5u);
-  const CanonicalTree tree = canonical_bfs_tree(g, 5);
-  for (std::size_t r = 1; r < form.order.size(); ++r) {
-    EXPECT_LT(canonical_path(g, tree, form.order[r - 1]),
-              canonical_path(g, tree, form.order[r]));
+  // ranks follow the lexicographic order of canonical root paths. Checked on
+  // every family at two sizes (every root up to N = 32) and on random
+  // networks of degree bound 2..4.
+  const auto check = [](const PortGraph& g, NodeId root,
+                        const std::string& what) {
+    const CanonicalForm form = canonical_form(g, root);
+    ASSERT_EQ(form.order.size(), g.num_nodes()) << what;
+    EXPECT_EQ(form.order[0], root) << what;
+    EXPECT_EQ(form.order, ranking_by_definition(g, root))
+        << what << " root " << root;
+  };
+  for (const std::string& name : family_names()) {
+    for (const NodeId size : {16u, 48u}) {
+      const FamilyInstance fi = make_family(name, size, 5);
+      const NodeId n = fi.graph.num_nodes();
+      const std::string what = fi.label + "-" + std::to_string(n);
+      if (n <= 32) {
+        for (NodeId root = 0; root < n; ++root) check(fi.graph, root, what);
+      } else {
+        for (const NodeId root : {NodeId{0}, n / 2, n - 1})
+          check(fi.graph, root, what);
+      }
+    }
   }
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    const auto delta = static_cast<Port>(2 + seed % 3);
+    const PortGraph g = random_strongly_connected(
+        {.nodes = static_cast<NodeId>(6 + seed % 40),
+         .delta = delta,
+         .avg_out_degree = delta == 2 ? 1.75 : 0.8 * delta,
+         .seed = seed});
+    check(g, static_cast<NodeId>(seed % g.num_nodes()), "random");
+  }
+}
+
+TEST(CanonicalForm, OrderIsPreOrderNotBfsLevel) {
+  // De Bruijn on 8 nodes from root 1: 1 -> 2 (out-port 0), 3 (out-port 1),
+  // and 2 -> 4 on out-port 0. Node 4 is one hop deeper than node 3 but its
+  // root path [0, 0] sorts before node 3's [1].
+  const PortGraph g = de_bruijn(3);
+  const CanonicalForm form = canonical_form(g, 1);
+  const auto rank = [&](NodeId v) {
+    return std::find(form.order.begin(), form.order.end(), v) -
+           form.order.begin();
+  };
+  const CanonicalTree tree = canonical_bfs_tree(g, 1);
+  ASSERT_EQ(tree.dist[3], 1u);
+  ASSERT_EQ(tree.dist[4], 2u);
+  EXPECT_LT(rank(4), rank(3));
 }
 
 // Byte identity across code changes: the canonical hash is the dtopd cache
@@ -166,6 +220,24 @@ TEST(CanonicalForm, HashIsPinned) {
             0x52df13c976f1ce8bull);
   EXPECT_EQ(canonical_hash(make_family("treeloop", 15, 1).graph, 0),
             0x43903b1f898f6091ull);
+  // The dtopd_mixed hot-set families at their largest size, and a random
+  // network from a non-zero root (values from the sort-based ranking that
+  // the pre-order walk replaced).
+  const std::vector<std::pair<std::string, std::uint64_t>> hot = {
+      {"debruijn", 0x67f2a5867a7c5045ull},
+      {"shufflex", 0x140b745212d45a13ull},
+      {"kautz", 0x95f2a6ba419398a8ull},
+      {"butterfly", 0xd0b131f2bd90bb03ull},
+      {"ccc", 0x9858f2776505512dull},
+      {"torus", 0xf3f8a82745cbe081ull},
+  };
+  for (const auto& [family, pinned] : hot) {
+    EXPECT_EQ(canonical_hash(make_family(family, 128, 1).graph, 0), pinned)
+        << family;
+  }
+  const PortGraph g = random_strongly_connected(
+      {.nodes = 100, .delta = 3, .avg_out_degree = 2.5, .seed = 2002});
+  EXPECT_EQ(canonical_hash(g, 17), 0x99bbf3d7e3c7be9dull);
 }
 
 TEST(Families, DirectedRingShape) {

@@ -9,6 +9,7 @@
 #include "graph/isomorphism.hpp"
 #include "graph/port_graph.hpp"
 #include "graph/random_graph.hpp"
+#include "support/rng.hpp"
 
 namespace dtop {
 namespace {
@@ -83,18 +84,90 @@ TEST(Analysis, BfsDistancesOnRing) {
 }
 
 TEST(Analysis, SccCounts) {
+  // Two 2-cycles joined by a one-way bridge: two components, so not
+  // strongly connected; a return wire across the bridge joins them.
   PortGraph g(4, 2);
   g.connect(0, 0, 1, 0);
   g.connect(1, 0, 0, 0);
   g.connect(2, 0, 3, 0);
   g.connect(3, 0, 2, 0);
   g.connect(1, 1, 2, 1);  // bridge, one-way
-  const SccResult r = strongly_connected_components(g);
-  EXPECT_EQ(r.count, 2u);
-  EXPECT_EQ(r.component[0], r.component[1]);
-  EXPECT_EQ(r.component[2], r.component[3]);
-  EXPECT_NE(r.component[0], r.component[2]);
   EXPECT_FALSE(is_strongly_connected(g));
+  g.connect(2, 1, 1, 1);
+  EXPECT_TRUE(is_strongly_connected(g));
+}
+
+// Strong connectivity by its definition, independent of any search: the
+// reflexive transitive closure of the wire relation is complete.
+bool strongly_connected_by_closure(const PortGraph& g) {
+  const NodeId n = g.num_nodes();
+  std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
+  for (NodeId v = 0; v < n; ++v) reach[v][v] = true;
+  for (const WireId w : g.wire_ids())
+    reach[g.wire(w).from][g.wire(w).to] = true;
+  for (NodeId k = 0; k < n; ++k)
+    for (NodeId i = 0; i < n; ++i)
+      if (reach[i][k])
+        for (NodeId j = 0; j < n; ++j)
+          if (reach[k][j]) reach[i][j] = true;
+  for (const auto& row : reach)
+    for (const bool r : row)
+      if (!r) return false;
+  return n > 0;
+}
+
+// Every wire turned around (out-ports become in-ports and vice versa).
+PortGraph reversed(const PortGraph& g) {
+  PortGraph r(g.num_nodes(), g.delta());
+  for (const WireId w : g.wire_ids()) {
+    const Wire& wr = g.wire(w);
+    r.connect(wr.to, wr.in_port, wr.from, wr.out_port);
+  }
+  return r;
+}
+
+TEST(Analysis, StrongConnectivityMatchesTransitiveClosure) {
+  // Node 0 reaches every node, but nodes 2 and 3 cannot get back to it; in
+  // the reversed graph every node reaches node 0 but node 0 reaches only 1.
+  PortGraph one_way(4, 2);
+  one_way.connect(0, 0, 1, 0);
+  one_way.connect(1, 0, 0, 0);
+  one_way.connect(1, 1, 2, 0);
+  one_way.connect(2, 0, 3, 0);
+  one_way.connect(3, 0, 2, 1);
+  for (const PortGraph& g : {one_way, reversed(one_way)}) {
+    EXPECT_FALSE(strongly_connected_by_closure(g));
+    EXPECT_FALSE(is_strongly_connected(g));
+  }
+  PortGraph single(1, 2);
+  EXPECT_TRUE(is_strongly_connected(single));
+  single.connect(0, 0, 0, 0);
+  EXPECT_TRUE(is_strongly_connected(single));
+
+  // Random networks with 0-3 wires shut down: both outcomes must occur.
+  int connected = 0, disconnected = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    const auto delta = static_cast<Port>(2 + rng.next_below(3));
+    PortGraph g = random_strongly_connected(
+        {.nodes = static_cast<NodeId>(2 + rng.next_below(23)),
+         .delta = delta,
+         .avg_out_degree = delta == 2 ? 1.5 : 2.0,
+         .seed = seed});
+    const auto removals = rng.next_below(4);
+    for (std::uint64_t k = 0; k < removals; ++k) {
+      const std::vector<WireId> wires = g.wire_ids();
+      if (wires.empty()) break;
+      g.disconnect(wires[rng.next_below(wires.size())]);
+    }
+    const bool expected = strongly_connected_by_closure(g);
+    EXPECT_EQ(is_strongly_connected(g), expected)
+        << "seed " << seed << ", " << removals << " wires removed";
+    EXPECT_EQ(is_strongly_connected(reversed(g)), expected) << "seed " << seed;
+    (expected ? connected : disconnected) += 1;
+  }
+  EXPECT_GT(connected, 30);
+  EXPECT_GT(disconnected, 30);
 }
 
 TEST(Analysis, DiameterOfRingAndBiring) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <atomic>
 #include <sstream>
 
@@ -276,6 +277,48 @@ TEST(Emit, JsonHasPerJobFieldsAndEscapes) {
 
   EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
   EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+}
+
+// The escaping rules spelled out per byte: the five short escapes, \u00xx
+// in lowercase hex for the other control bytes, every other byte verbatim.
+std::string escaped_byte(unsigned char c) {
+  switch (c) {
+    case '"': return "\\\"";
+    case '\\': return "\\\\";
+    case '\n': return "\\n";
+    case '\r': return "\\r";
+    case '\t': return "\\t";
+    default: break;
+  }
+  if (c < 0x20) {
+    char buf[8];
+    std::snprintf(buf, sizeof buf, "\\u%04x", c);
+    return buf;
+  }
+  return std::string(1, static_cast<char>(c));
+}
+
+TEST(Emit, JsonEscapeIsPinnedForEveryByte) {
+  EXPECT_EQ(json_escape(""), "");
+  const std::string plain = "plain text, no escapes: 0123456789 {}[]:;'/~";
+  for (int b = 0; b <= 0xFF; ++b) {
+    const auto c = static_cast<unsigned char>(b);
+    const std::string one(1, static_cast<char>(c));
+    const std::string esc = escaped_byte(c);
+    SCOPED_TRACE("byte " + std::to_string(b));
+    EXPECT_EQ(json_escape(one), esc);
+    EXPECT_EQ(json_escape(one + plain), esc + plain);
+    EXPECT_EQ(json_escape(plain + one + plain), plain + esc + plain);
+    EXPECT_EQ(json_escape(plain + one), plain + esc);
+    EXPECT_EQ(json_escape(one + one), esc + esc);
+  }
+  // A long run with nothing to escape, including DEL and high bytes.
+  std::string run;
+  for (int i = 0; i < 5000; ++i) {
+    const int b = 0x20 + i % 0xE0;
+    if (b != '"' && b != '\\') run += static_cast<char>(b);
+  }
+  EXPECT_EQ(json_escape(run), run);
 }
 
 TEST(Cancel, PreSetFlagStopsBeforeAnyJob) {

@@ -70,6 +70,26 @@ TEST(ServiceJson, WriterEmitsOneDeterministicLine) {
             R"({"op": "stats", "ok": true, "n": 7, "note": "a\"b", "id": "x"})");
 }
 
+TEST(ServiceJson, WriterEscapesKeysAndValues) {
+  const std::string map = "dtop-graph v1 2 2\n0 0 1 0\n1 0 0 0\n";
+  const std::string line = JsonWriter()
+                         .field("k\"ey\\", std::string("v\ta\x01l\x7f"))
+                         .field("map", map)
+                         .field("tab\there", "\r")
+                         .field("count\n", std::uint64_t{3})
+                         .str();
+  EXPECT_EQ(line,
+            "{\"k\\\"ey\\\\\": \"v\\ta\\u0001l\x7f\", "
+            "\"map\": \"dtop-graph v1 2 2\\n0 0 1 0\\n1 0 0 0\\n\", "
+            "\"tab\\there\": \"\\r\", \"count\\n\": 3}");
+  // The escaped line parses back to the original keys and values.
+  const JsonObject o = parse_json_object(line);
+  EXPECT_EQ(o.get_string("k\"ey\\"), "v\ta\x01l\x7f");
+  EXPECT_EQ(o.get_string("map"), map);
+  EXPECT_EQ(o.get_string("tab\there"), "\r");
+  EXPECT_EQ(o.get_u64("count\n", 0), 3u);
+}
+
 // ---------------------------- result cache --------------------------------
 
 CachedMap toy_result(const std::string& tag) {
