@@ -14,14 +14,6 @@
 #include "core/gtd.hpp"
 
 namespace dtop {
-namespace {
-
-bool is_external(trace::TraceEventKind k) {
-  return k == trace::TraceEventKind::kSchedule ||
-         k == trace::TraceEventKind::kInject;
-}
-
-}  // namespace
 
 ReplayResult replay_gtd(const trace::RecordedTrace& rec, int num_threads,
                         Arena* arena) {
@@ -32,12 +24,22 @@ ReplayResult replay_gtd(const trace::RecordedTrace& rec, int num_threads,
   h.graph.validate();
   DTOP_REQUIRE(h.root < h.graph.num_nodes(), "replay: root out of range");
 
-  // A trace that contains span events was recorded with the observer facet
-  // attached; the replay must mirror that, or every span event would read
-  // as a divergence. Observers require a single-threaded engine.
+  // One pass over the recording collects its external events, indexed by
+  // their position in the stream: they are re-applied (in recorded order)
+  // when the clock reads their tick, and the sink hooks then re-emit them,
+  // so they participate in the comparison like any other event. The same
+  // pass finds span events: a trace that contains them was recorded with
+  // the observer facet attached, and the replay must mirror that, or every
+  // span event would read as a divergence. Observers require a
+  // single-threaded engine.
+  std::vector<std::size_t> externals;
   bool has_spans = false;
-  for (const trace::TraceEvent& ev : rec.events) {
-    switch (ev.kind) {
+  for (std::size_t i = 0; i < rec.events.size(); ++i) {
+    switch (rec.events[i].kind) {
+      case trace::TraceEventKind::kSchedule:
+      case trace::TraceEventKind::kInject:
+        externals.push_back(i);
+        break;
       case trace::TraceEventKind::kRcaStart:
       case trace::TraceEventKind::kRcaPhase:
       case trace::TraceEventKind::kRcaComplete:
@@ -49,7 +51,6 @@ ReplayResult replay_gtd(const trace::RecordedTrace& rec, int num_threads,
       default:
         break;
     }
-    if (has_spans) break;
   }
   DTOP_REQUIRE(!has_spans || num_threads == 1,
                "replay: this trace contains span events (recorded with "
@@ -65,15 +66,6 @@ ReplayResult replay_gtd(const trace::RecordedTrace& rec, int num_threads,
   live.begin(h.graph, h.root, h.config);
   engine.set_trace_sink(&live);
   rr.transcript.set_tap(&live);
-
-  // External events indexed by their position in the recorded stream; they
-  // are re-applied (in recorded order) when the clock reads their tick, and
-  // the sink hooks then re-emit them, so they participate in the comparison
-  // like any other event.
-  std::vector<std::size_t> externals;
-  for (std::size_t i = 0; i < rec.events.size(); ++i) {
-    if (is_external(rec.events[i].kind)) externals.push_back(i);
-  }
   std::size_t next_ext = 0;
 
   const Tick end_tick = rec.events.empty() ? 0 : rec.events.back().tick;

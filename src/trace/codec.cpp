@@ -140,39 +140,47 @@ std::string dlz_compress(std::string_view raw) {
 }
 
 std::string dlz_decompress(std::string_view stored, std::size_t raw_size) {
-  std::string out;
-  out.reserve(raw_size);
+  // Decodes into the pre-sized result: `done` bytes of it are produced.
+  std::string out(raw_size, '\0');
+  char* const dst = out.data();
+  std::size_t done = 0;
   std::size_t pos = 0;
   const std::size_t n = stored.size();
   while (pos < n) {
     const auto token = static_cast<unsigned char>(stored[pos++]);
     if (token < 0x80) {
       const std::size_t len = std::size_t{token} + 1;
-      if (pos + len > n || out.size() + len > raw_size) {
+      if (len > n - pos || len > raw_size - done) {
         throw TraceError("trace corrupt: dlz literal run out of bounds");
       }
-      out.append(stored.substr(pos, len));
+      std::memcpy(dst + done, stored.data() + pos, len);
       pos += len;
+      done += len;
     } else {
       const std::size_t len = std::size_t{token & 0x7Fu} + kMinMatch;
-      if (pos + 2 > n) {
+      if (n - pos < 2) {
         throw TraceError("trace corrupt: dlz match truncated");
       }
       const std::size_t distance =
           static_cast<unsigned char>(stored[pos]) |
           (std::size_t{static_cast<unsigned char>(stored[pos + 1])} << 8);
       pos += 2;
-      if (distance == 0 || distance > out.size() ||
-          out.size() + len > raw_size) {
+      if (distance == 0 || distance > done || len > raw_size - done) {
         throw TraceError("trace corrupt: dlz match out of bounds");
       }
-      // Byte-at-a-time: overlapping matches must replicate, not memmove.
-      for (std::size_t i = 0; i < len; ++i) {
-        out.push_back(out[out.size() - distance]);
+      char* const to = dst + done;
+      const char* const from = to - distance;
+      if (distance >= len) {
+        std::memcpy(to, from, len);
+      } else {
+        // Overlapping: the match repeats the bytes it is producing, so it
+        // must run forward a byte at a time (memmove would not replicate).
+        for (std::size_t i = 0; i < len; ++i) to[i] = from[i];
       }
+      done += len;
     }
   }
-  if (out.size() != raw_size) {
+  if (done != raw_size) {
     throw TraceError("trace corrupt: dlz block decoded to wrong size");
   }
   return out;

@@ -339,12 +339,8 @@ void TraceFile::decode_block(std::size_t i, std::vector<TraceEvent>& out) {
   if (f.kind != kFrameEvents) {
     throw TraceError("trace corrupt: index points at a non-event frame");
   }
-  const std::string raw = codec_decompress(f.codec, f.stored, f.raw_size);
-  ByteReader rs(raw);
   const std::size_t first = out.size();
-  Tick lt = 0;
-  TraceEvent ev;
-  while (read_event_record(rs, ev, lt)) out.push_back(ev);
+  read_event_records(codec_decompress(f.codec, f.stored, f.raw_size), out);
   if (indexed_) {
     // The index is what seeks and stats trust; a block that disagrees with
     // it would silently skew both.

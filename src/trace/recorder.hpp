@@ -72,7 +72,9 @@ class TraceRecorder final : public EngineTraceSink<Character>,
   void on_grow_erased(NodeId node, Tick now, bool bca_lane) override;
 
  private:
-  void push(TraceEvent ev);
+  // A new blank event at the end of the capture; throws Error outside the
+  // begin()..finish() window.
+  TraceEvent& append();
 
   bool started_ = false;
   bool finished_ = false;

@@ -27,88 +27,170 @@ void put_u8(std::string& out, std::uint8_t b) {
   out.push_back(static_cast<char>(b));
 }
 
-void write_snake_char(std::string& out, const SnakeChar& c) {
-  put_u8(out, static_cast<std::uint8_t>(c.part));
-  put_u8(out, c.out);
-  put_u8(out, c.in);
+// --- record encoder --------------------------------------------------------
+//
+// Records are written through a pointer into a tail the caller sized to the
+// largest possible record, then the string is cut back to what was written:
+// one resize pair per record instead of a capacity check per byte.
+
+char* put_byte(char* p, std::uint8_t b) {
+  *p = static_cast<char>(b);
+  return p + 1;
 }
 
-SnakeChar read_snake_char(ByteReader& in) {
-  SnakeChar c;
-  const std::uint8_t part = need_u8(in);
-  if (part > static_cast<std::uint8_t>(SnakePart::kTail)) {
-    throw TraceError("trace corrupt: bad snake part " + std::to_string(part));
+char* put_varint_at(char* p, std::uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<char>(0x80 | (v & 0x7F));
+    v >>= 7;
   }
-  c.part = static_cast<SnakePart>(part);
-  c.out = need_u8(in);
-  c.in = need_u8(in);
-  return c;
+  return put_byte(p, static_cast<std::uint8_t>(v));
 }
+
+// Bitmap varint (11 bits: 2 bytes), six snake characters (3 bytes each),
+// rloop (3), bloop (2), dfs (2).
+constexpr std::size_t kMaxCharacterBytes = 2 + 2 * kNumSnakeKinds * 3 + 7;
+// Kind, tick delta (a 64-bit varint: at most 10 bytes), a (a 32-bit varint:
+// 5), b, and a character.
+constexpr std::size_t kMaxRecordBytes = 48;
+static_assert(1 + 10 + 5 + 1 + kMaxCharacterBytes <= kMaxRecordBytes);
+
+char* put_snake_char(char* p, const SnakeChar& c) {
+  p = put_byte(p, static_cast<std::uint8_t>(c.part));
+  p = put_byte(p, c.out);
+  return put_byte(p, c.in);
+}
+
+char* put_character(char* p, const Character& c) {
+  // The lane bitmap is the character's presence mask itself.
+  p = put_varint_at(p, c.lanes);
+  for (int i = 0; i < kNumSnakeKinds; ++i)
+    if (c.has_grow(i)) p = put_snake_char(p, c.grow(i));
+  for (int i = 0; i < kNumSnakeKinds; ++i)
+    if (c.has_die(i)) p = put_snake_char(p, c.die(i));
+  if (c.has_rloop()) {
+    p = put_byte(p, static_cast<std::uint8_t>(c.rloop().kind));
+    p = put_byte(p, c.rloop().out);
+    p = put_byte(p, c.rloop().in);
+  }
+  if (c.has_bloop()) {
+    p = put_byte(p, static_cast<std::uint8_t>(c.bloop().kind));
+    p = put_byte(p, c.bloop().payload);
+  }
+  if (c.has_dfs()) {
+    p = put_byte(p, c.dfs().last_out);
+    p = put_byte(p, c.dfs().last_in);
+  }
+  return p;
+}
+
+// Runs `put(p) -> end` on a `max_bytes` tail of `out`, then trims the tail.
+template <class Put>
+void append_through(std::string& out, std::size_t max_bytes, Put put) {
+  const std::size_t at = out.size();
+  out.resize(at + max_bytes);
+  const char* end = put(out.data() + at);
+  out.resize(static_cast<std::size_t>(end - out.data()));
+}
+
+// --- record decoder --------------------------------------------------------
+//
+// The one reader of event records: a raw-pointer cursor over a block's
+// bytes. Every read is bounds-checked and throws the same TraceError texts
+// the header reader uses.
+
+class RecordCursor {
+ public:
+  explicit RecordCursor(std::string_view bytes)
+      : p_(reinterpret_cast<const unsigned char*>(bytes.data())),
+        end_(p_ + bytes.size()) {}
+
+  bool done() const { return p_ == end_; }
+
+  std::uint8_t u8() {
+    if (p_ == end_) throw TraceError("trace truncated: unexpected end of data");
+    return *p_++;
+  }
+
+  std::uint64_t varint() {
+    if (p_ != end_ && *p_ < 0x80) return *p_++;  // one byte: most fields
+    ByteReader in(std::string_view(reinterpret_cast<const char*>(p_),
+                                   static_cast<std::size_t>(end_ - p_)));
+    const std::uint64_t v = need_varint(in);
+    p_ += in.pos();
+    return v;
+  }
+
+  std::uint32_t field() {
+    const std::uint64_t v = varint();
+    if (v > std::numeric_limits<std::uint32_t>::max()) {
+      throw TraceError("trace corrupt: field out of range");
+    }
+    return static_cast<std::uint32_t>(v);
+  }
+
+  SnakeChar snake_char() {
+    SnakeChar c;
+    const std::uint8_t part = u8();
+    if (part > static_cast<std::uint8_t>(SnakePart::kTail)) {
+      throw TraceError("trace corrupt: bad snake part " + std::to_string(part));
+    }
+    c.part = static_cast<SnakePart>(part);
+    c.out = u8();
+    c.in = u8();
+    return c;
+  }
+
+  // Decodes into a blank character.
+  void character(Character& c) {
+    const std::uint64_t bits = varint();
+    if (bits >> kNumLaneBits) {
+      throw TraceError("trace corrupt: unknown character lane bits");
+    }
+    for (int i = 0; i < kNumSnakeKinds; ++i)
+      if (bits & (kLaneGrow0 << i)) c.set_grow(i, snake_char());
+    for (int i = 0; i < kNumSnakeKinds; ++i)
+      if (bits & (kLaneDie0 << i)) c.set_die(i, snake_char());
+    c.set_kill((bits & kLaneKill) != 0);
+    c.set_bkill((bits & kLaneBkill) != 0);
+    if (bits & kLaneRloop) {
+      RcaToken t;
+      const std::uint8_t kind = u8();
+      if (kind > static_cast<std::uint8_t>(RcaToken::Kind::kUnmark)) {
+        throw TraceError("trace corrupt: bad rloop kind");
+      }
+      t.kind = static_cast<RcaToken::Kind>(kind);
+      t.out = u8();
+      t.in = u8();
+      c.set_rloop(t);
+    }
+    if (bits & kLaneBloop) {
+      BcaToken t;
+      const std::uint8_t kind = u8();
+      if (kind > static_cast<std::uint8_t>(BcaToken::Kind::kBUnmark)) {
+        throw TraceError("trace corrupt: bad bloop kind");
+      }
+      t.kind = static_cast<BcaToken::Kind>(kind);
+      t.payload = u8();
+      c.set_bloop(t);
+    }
+    if (bits & kLaneDfs) {
+      DfsToken t;
+      t.last_out = u8();
+      t.last_in = u8();
+      c.set_dfs(t);
+    }
+  }
+
+ private:
+  const unsigned char* p_;
+  const unsigned char* end_;
+};
 
 }  // namespace
 
 void write_character(std::string& out, const Character& c) {
-  // The lane bitmap is the character's presence mask itself.
-  put_varint(out, c.lanes);
-  for (int i = 0; i < kNumSnakeKinds; ++i)
-    if (c.has_grow(i)) write_snake_char(out, c.grow(i));
-  for (int i = 0; i < kNumSnakeKinds; ++i)
-    if (c.has_die(i)) write_snake_char(out, c.die(i));
-  if (c.has_rloop()) {
-    put_u8(out, static_cast<std::uint8_t>(c.rloop().kind));
-    put_u8(out, c.rloop().out);
-    put_u8(out, c.rloop().in);
-  }
-  if (c.has_bloop()) {
-    put_u8(out, static_cast<std::uint8_t>(c.bloop().kind));
-    put_u8(out, c.bloop().payload);
-  }
-  if (c.has_dfs()) {
-    put_u8(out, c.dfs().last_out);
-    put_u8(out, c.dfs().last_in);
-  }
-}
-
-Character read_character(ByteReader& in) {
-  Character c;
-  const std::uint64_t bits = need_varint(in);
-  if (bits >> kNumLaneBits) {
-    throw TraceError("trace corrupt: unknown character lane bits");
-  }
-  for (int i = 0; i < kNumSnakeKinds; ++i)
-    if (bits & (kLaneGrow0 << i)) c.set_grow(i, read_snake_char(in));
-  for (int i = 0; i < kNumSnakeKinds; ++i)
-    if (bits & (kLaneDie0 << i)) c.set_die(i, read_snake_char(in));
-  c.set_kill((bits & kLaneKill) != 0);
-  c.set_bkill((bits & kLaneBkill) != 0);
-  if (bits & kLaneRloop) {
-    RcaToken t;
-    const std::uint8_t kind = need_u8(in);
-    if (kind > static_cast<std::uint8_t>(RcaToken::Kind::kUnmark)) {
-      throw TraceError("trace corrupt: bad rloop kind");
-    }
-    t.kind = static_cast<RcaToken::Kind>(kind);
-    t.out = need_u8(in);
-    t.in = need_u8(in);
-    c.set_rloop(t);
-  }
-  if (bits & kLaneBloop) {
-    BcaToken t;
-    const std::uint8_t kind = need_u8(in);
-    if (kind > static_cast<std::uint8_t>(BcaToken::Kind::kBUnmark)) {
-      throw TraceError("trace corrupt: bad bloop kind");
-    }
-    t.kind = static_cast<BcaToken::Kind>(kind);
-    t.payload = need_u8(in);
-    c.set_bloop(t);
-  }
-  if (bits & kLaneDfs) {
-    DfsToken t;
-    t.last_out = need_u8(in);
-    t.last_in = need_u8(in);
-    c.set_dfs(t);
-  }
-  return c;
+  append_through(out, kMaxCharacterBytes,
+                 [&c](char* p) { return put_character(p, c); });
 }
 
 void write_header(std::string& out, const TraceHeader& h) {
@@ -246,98 +328,87 @@ TraceHeader read_header(ByteReader& in) {
 void write_event_record(std::string& out, const TraceEvent& ev,
                         Tick& last_tick) {
   DTOP_REQUIRE(ev.tick >= last_tick, "trace events must be tick-ordered");
-  put_u8(out, static_cast<std::uint8_t>(ev.kind));
-  put_varint(out, static_cast<std::uint64_t>(ev.tick - last_tick));
+  const auto delta = static_cast<std::uint64_t>(ev.tick - last_tick);
   last_tick = ev.tick;
-  switch (ev.kind) {
-    case TraceEventKind::kSchedule:
-    case TraceEventKind::kNodeStep:
-    case TraceEventKind::kRcaComplete:
-    case TraceEventKind::kBcaStart:
-    case TraceEventKind::kBcaComplete:
-      put_varint(out, ev.a);
-      break;
-    case TraceEventKind::kWireSend:
-      put_varint(out, ev.a);
-      write_character(out, ev.payload);
-      break;
-    case TraceEventKind::kInject:
-      put_varint(out, ev.a);
-      put_u8(out, ev.b);
-      write_character(out, ev.payload);
-      break;
-    case TraceEventKind::kRootEvent:
-      put_varint(out, ev.a);
-      put_u8(out, ev.b);
-      put_u8(out, ev.c);
-      break;
-    case TraceEventKind::kRcaStart:
-    case TraceEventKind::kRcaPhase:
-    case TraceEventKind::kGrowErased:
-      put_varint(out, ev.a);
-      put_u8(out, ev.b);
-      break;
-    case TraceEventKind::kRunEnd:
-      put_varint(out, ev.a);
-      break;
-  }
+  append_through(out, kMaxRecordBytes, [&ev, delta](char* p) {
+    p = put_byte(p, static_cast<std::uint8_t>(ev.kind));
+    p = put_varint_at(p, delta);
+    p = put_varint_at(p, ev.a);
+    switch (ev.kind) {
+      case TraceEventKind::kSchedule:
+      case TraceEventKind::kNodeStep:
+      case TraceEventKind::kRcaComplete:
+      case TraceEventKind::kBcaStart:
+      case TraceEventKind::kBcaComplete:
+      case TraceEventKind::kRunEnd:
+        break;
+      case TraceEventKind::kWireSend:
+        p = put_character(p, ev.payload);
+        break;
+      case TraceEventKind::kInject:
+        p = put_byte(p, ev.b);
+        p = put_character(p, ev.payload);
+        break;
+      case TraceEventKind::kRootEvent:
+        p = put_byte(p, ev.b);
+        p = put_byte(p, ev.c);
+        break;
+      case TraceEventKind::kRcaStart:
+      case TraceEventKind::kRcaPhase:
+      case TraceEventKind::kGrowErased:
+        p = put_byte(p, ev.b);
+        break;
+    }
+    return p;
+  });
 }
 
-bool read_event_record(ByteReader& in, TraceEvent& ev, Tick& last_tick) {
-  std::uint8_t first = 0;
-  if (!in.u8(first)) return false;  // clean end at a record boundary
-  if (first >= kNumTraceEventKinds) {
-    throw TraceError("trace corrupt: unknown event kind " +
-                     std::to_string(first));
-  }
-  ev = TraceEvent{};
-  ev.kind = static_cast<TraceEventKind>(first);
-  const std::uint64_t delta = need_varint(in);
-  if (delta > static_cast<std::uint64_t>(std::numeric_limits<Tick>::max() -
-                                         last_tick)) {
-    throw TraceError("trace corrupt: tick overflow");
-  }
-  last_tick += static_cast<Tick>(delta);
-  ev.tick = last_tick;
-
-  const auto read_a = [&in] {
-    const std::uint64_t v = need_varint(in);
-    if (v > std::numeric_limits<std::uint32_t>::max()) {
-      throw TraceError("trace corrupt: field out of range");
+void read_event_records(std::string_view records,
+                        std::vector<TraceEvent>& out) {
+  RecordCursor in(records);
+  Tick last_tick = 0;
+  while (!in.done()) {
+    const std::uint8_t kind = in.u8();
+    if (kind >= kNumTraceEventKinds) {
+      throw TraceError("trace corrupt: unknown event kind " +
+                       std::to_string(kind));
     }
-    return static_cast<std::uint32_t>(v);
-  };
-  switch (ev.kind) {
-    case TraceEventKind::kSchedule:
-    case TraceEventKind::kNodeStep:
-    case TraceEventKind::kRcaComplete:
-    case TraceEventKind::kBcaStart:
-    case TraceEventKind::kBcaComplete:
-    case TraceEventKind::kRunEnd:
-      ev.a = read_a();
-      break;
-    case TraceEventKind::kWireSend:
-      ev.a = read_a();
-      ev.payload = read_character(in);
-      break;
-    case TraceEventKind::kInject:
-      ev.a = read_a();
-      ev.b = need_u8(in);
-      ev.payload = read_character(in);
-      break;
-    case TraceEventKind::kRootEvent:
-      ev.a = read_a();
-      ev.b = need_u8(in);
-      ev.c = need_u8(in);
-      break;
-    case TraceEventKind::kRcaStart:
-    case TraceEventKind::kRcaPhase:
-    case TraceEventKind::kGrowErased:
-      ev.a = read_a();
-      ev.b = need_u8(in);
-      break;
+    const std::uint64_t delta = in.varint();
+    if (delta > static_cast<std::uint64_t>(std::numeric_limits<Tick>::max() -
+                                           last_tick)) {
+      throw TraceError("trace corrupt: tick overflow");
+    }
+    last_tick += static_cast<Tick>(delta);
+    TraceEvent& ev = out.emplace_back();
+    ev.kind = static_cast<TraceEventKind>(kind);
+    ev.tick = last_tick;
+    ev.a = in.field();
+    switch (ev.kind) {
+      case TraceEventKind::kSchedule:
+      case TraceEventKind::kNodeStep:
+      case TraceEventKind::kRcaComplete:
+      case TraceEventKind::kBcaStart:
+      case TraceEventKind::kBcaComplete:
+      case TraceEventKind::kRunEnd:
+        break;
+      case TraceEventKind::kWireSend:
+        in.character(ev.payload);
+        break;
+      case TraceEventKind::kInject:
+        ev.b = in.u8();
+        in.character(ev.payload);
+        break;
+      case TraceEventKind::kRootEvent:
+        ev.b = in.u8();
+        ev.c = in.u8();
+        break;
+      case TraceEventKind::kRcaStart:
+      case TraceEventKind::kRcaPhase:
+      case TraceEventKind::kGrowErased:
+        ev.b = in.u8();
+        break;
+    }
   }
-  return true;
 }
 
 RecordedTrace read_trace(std::istream& is) {

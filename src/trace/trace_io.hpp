@@ -26,13 +26,16 @@
 // mid-tick (protocol violation), so a record boundary is a clean end.
 // Truncation *inside* a record raises TraceError.
 //
-// Writers append to a std::string, readers walk a ByteReader
-// (support/bytes.hpp); files are read and written only by the container.
+// Writers append to a std::string. The header reader walks a ByteReader
+// (support/bytes.hpp); event records, millions per run, are decoded by one
+// pointer cursor in trace_io.cpp. Files are read and written only by the
+// container.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/port_graph.hpp"
@@ -70,18 +73,21 @@ struct RecordedTrace {
   bool operator==(const RecordedTrace&) const = default;
 };
 
-// Character codec, exposed for the format tests.
+// Character encoder: the lane bitmap, then the bytes of each present lane
+// (the same bytes a kWireSend record carries).
 void write_character(std::string& out, const Character& c);
-Character read_character(ByteReader& in);
 
-// Single-event record codec. `last_tick` is the tick-delta baseline and is
-// advanced to ev.tick; a DTR2 block resets it to 0, which is what makes a
-// block independently decodable. read_event_record returns false when the
-// reader is exhausted at a record boundary and throws TraceError on
-// truncation inside one.
+// The event-record codec. write_event_record appends one record; `last_tick`
+// is the tick-delta baseline and is advanced to ev.tick. read_event_records
+// decodes a run of records with the baseline reset to 0 (the raw payload of
+// a DTR2 event block, which is what makes a block independently decodable)
+// onto the end of `out`. The run may end at any record boundary; truncation
+// inside a record, and every out-of-range field, throws TraceError (events
+// decoded before the fault stay appended).
 void write_event_record(std::string& out, const TraceEvent& ev,
                         Tick& last_tick);
-bool read_event_record(ByteReader& in, TraceEvent& ev, Tick& last_tick);
+void read_event_records(std::string_view records,
+                        std::vector<TraceEvent>& out);
 
 // Header codec: the raw payload of a DTR2 header frame.
 void write_header(std::string& out, const TraceHeader& h);

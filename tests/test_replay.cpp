@@ -99,6 +99,34 @@ TEST(Replay, GoldenTraceDigestsArePinned) {
   }
 }
 
+// The same three runs' DTR2 bytes under the dlz codec, which is what the
+// trace_roundtrip benchmark encodes: a change to the block codec, the
+// record encoder or the block cut shows here. One recording per run (the
+// thread count does not change a byte; see above).
+TEST(Dtr2Compression, DlzBytesArePinned) {
+  struct Golden {
+    const char* family;
+    NodeId nodes;
+    std::size_t bytes;
+    std::uint64_t fnv;
+  };
+  const Golden goldens[] = {
+      {"debruijn", 16, 116015, 0x4bc6225e4e92dbe1ull},
+      {"torus", 16, 116959, 0x458de066129b5603ull},
+      {"treeloop", 15, 134289, 0xa1f0c9a4b36462c8ull},
+  };
+  trace::Dtr2Options dlz;
+  dlz.codec = trace::TraceCodec::kDlz;
+  for (const Golden& gold : goldens) {
+    const FamilyInstance inst = make_family(gold.family, gold.nodes, 1);
+    std::stringstream ss;
+    trace::write_trace_dtr2(ss, record_run(inst.graph, 1), dlz);
+    const std::string bytes = ss.str();
+    EXPECT_EQ(bytes.size(), gold.bytes) << inst.label;
+    EXPECT_EQ(fnv1a64(bytes), gold.fnv) << inst.label;
+  }
+}
+
 TEST(Replay, ReplayRebuildsTheTranscript) {
   const PortGraph g = directed_torus(3, 3);
   const trace::RecordedTrace t = record_run(g, 1);

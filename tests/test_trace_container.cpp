@@ -104,6 +104,85 @@ TEST(TraceCodecs, DlzRejectsMalformedStreams) {
   EXPECT_THROW(codec_decompress(TraceCodec::kDlz, stored, 3), TraceError);
 }
 
+// The decoder's bounds, token by token. Each stream must decode to exactly
+// the expected bytes or throw TraceError naming the token that overran.
+TEST(TraceCodecs, DlzDecoderBoundsAreExact) {
+  const auto throws = [](const std::string& stored, std::size_t raw_size,
+                         const char* what) {
+    try {
+      (void)codec_decompress(TraceCodec::kDlz, stored, raw_size);
+      ADD_FAILURE() << "decoded; want \"" << what << "\"";
+    } catch (const TraceError& e) {
+      EXPECT_STREQ(e.what(), what);
+    }
+  };
+  constexpr const char* kMatchOut = "trace corrupt: dlz match out of bounds";
+  constexpr const char* kLiteralOut =
+      "trace corrupt: dlz literal run out of bounds";
+  // `n` literal bytes 'a', 'b', ... as literal tokens of at most 128.
+  const auto literals = [](std::size_t n) {
+    std::string tokens, bytes;
+    for (std::size_t i = 0; i < n; ++i)
+      bytes.push_back(static_cast<char>('a' + i % 26));
+    for (std::size_t at = 0; at < n; at += 128) {
+      const std::size_t run = std::min<std::size_t>(128, n - at);
+      tokens.push_back(static_cast<char>(run - 1));
+      tokens.append(bytes, at, run);
+    }
+    return std::pair{tokens, bytes};
+  };
+  const auto match = [](std::size_t length, std::size_t distance) {
+    std::string t(1, static_cast<char>(0x80 | (length - 4)));
+    t.push_back(static_cast<char>(distance & 0xFF));
+    t.push_back(static_cast<char>(distance >> 8));
+    return t;
+  };
+  // What the match produces: a forward copy that repeats the bytes it is
+  // writing when distance < length.
+  const auto expand = [](std::string out, std::size_t length,
+                         std::size_t distance) {
+    for (std::size_t i = 0; i < length; ++i)
+      out.push_back(out[out.size() - distance]);
+    return out;
+  };
+  const auto decodes_to = [&](const std::string& stored,
+                              const std::string& want) {
+    EXPECT_EQ(codec_decompress(TraceCodec::kDlz, stored, want.size()), want);
+    // One byte short of the promised size: the final match overruns.
+    throws(stored, want.size() - 1, kMatchOut);
+  };
+
+  // Every overlap case (distance 1..4 against every length 4..131), and
+  // distance == length, the largest copy that still overlaps nothing.
+  for (std::size_t length = 4; length <= 131; ++length) {
+    for (std::size_t distance = 1; distance <= 4; ++distance) {
+      const auto [tokens, bytes] = literals(distance);
+      decodes_to(tokens + match(length, distance),
+                 expand(bytes, length, distance));
+    }
+    const auto [tokens, bytes] = literals(length);
+    decodes_to(tokens + match(length, length), bytes + bytes);
+  }
+
+  // A literal run that ends exactly at raw_size, and one that ends one
+  // byte past it.
+  const auto [five, five_bytes] = literals(5);
+  EXPECT_EQ(codec_decompress(TraceCodec::kDlz, five, 5), five_bytes);
+  throws(five, 4, kLiteralOut);
+  // A literal run whose bytes the stream does not hold.
+  throws(five.substr(0, 5), 5, kLiteralOut);
+
+  // A match whose distance exceeds the output produced so far by one, next
+  // to the same match at exactly the produced length.
+  const auto [three, three_bytes] = literals(3);
+  throws(three + match(4, 4), 7, kMatchOut);
+  EXPECT_EQ(codec_decompress(TraceCodec::kDlz, three + match(4, 3), 7),
+            expand(three_bytes, 4, 3));
+  // A match cut inside its distance.
+  throws(three + match(4, 3).substr(0, 2), 7,
+         "trace corrupt: dlz match truncated");
+}
+
 TEST(TraceCodecs, ZstdAvailabilityIsConsistent) {
   EXPECT_TRUE(codec_available(TraceCodec::kRaw));
   EXPECT_TRUE(codec_available(TraceCodec::kDlz));
@@ -133,10 +212,13 @@ TEST(TraceVarintOverflow, TenBytePayloadAboveU64MaxThrows) {
   bytes.push_back(static_cast<char>(0x02));  // bit 65
   std::uint64_t v = 0;
   EXPECT_FALSE(ByteReader(bytes).varint(v));
-  // In a trace, the rejected varint is a TraceError (here: a character's
-  // lane bitmap).
-  ByteReader in(bytes);
-  EXPECT_THROW(read_character(in), TraceError);
+  // In a trace, the rejected varint is a TraceError (here: a record's tick
+  // delta).
+  std::vector<TraceEvent> events;
+  EXPECT_THROW(
+      read_event_records(
+          static_cast<char>(TraceEventKind::kNodeStep) + bytes, events),
+      TraceError);
   // The all-ones maximum still decodes.
   std::string max_bytes;
   for (int i = 0; i < 9; ++i) max_bytes.push_back(static_cast<char>(0xFF));

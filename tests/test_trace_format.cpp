@@ -1,19 +1,43 @@
 // The dtop-trace record encodings: the varint cursor they read with, the
-// character codec, header/graph round-trips (tombstones included), the
-// event-record codec through a DTR2 file, corruption detection, and
-// event-level diff.
+// character encoding (through the one record decoder), header/graph
+// round-trips (tombstones included), the event-record codec through a DTR2
+// file, the decoder's error for each kind of corrupt record, the recorder's
+// begin()..finish() window, and event-level diff.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "graph/families.hpp"
 #include "trace/container.hpp"
+#include "trace/recorder.hpp"
 #include "trace/trace_diff.hpp"
 #include "trace/trace_io.hpp"
 
 namespace dtop::trace {
 namespace {
+
+// Every record decode in this file goes through read_event_records, the one
+// record decoder.
+std::vector<TraceEvent> decode_records(std::string_view records) {
+  std::vector<TraceEvent> out;
+  read_event_records(records, out);
+  return out;
+}
+
+// One kWireSend record carrying `c`, on wire 0 at tick 0: kind, tick delta
+// and wire are one byte each, so the character starts at byte 3.
+constexpr std::size_t kSendCharacterAt = 3;
+std::string send_record(const Character& c) {
+  TraceEvent ev;
+  ev.kind = TraceEventKind::kWireSend;
+  ev.payload = c;
+  std::string out;
+  Tick last = 0;
+  write_event_record(out, ev, last);
+  return out;
+}
 
 TEST(TraceVarint, RoundTripsBoundaryValues) {
   const std::uint64_t values[] = {0,
@@ -56,10 +80,11 @@ TEST(TraceVarint, TruncationThrows) {
   std::uint64_t v = 0;
   EXPECT_FALSE(in.varint(v));
   EXPECT_EQ(in.pos(), 0u);  // a failed read leaves the cursor in place
-  // A trace decoder turns the failed read into a TraceError: a character
-  // starts with its lane-bitmap varint.
-  ByteReader in2(cut);
-  EXPECT_THROW(read_character(in2), TraceError);
+  // The record decoder turns the failed read into a TraceError: here the
+  // record's tick delta.
+  const std::string record =
+      static_cast<char>(TraceEventKind::kNodeStep) + cut;
+  EXPECT_THROW(decode_records(record), TraceError);
 }
 
 Character full_character() {
@@ -76,13 +101,11 @@ Character full_character() {
 }
 
 TEST(TraceCharacterCodec, RoundTripsAllLanes) {
-  std::string buf;
-  write_character(buf, full_character());
-  write_character(buf, Character{});  // blank
-  ByteReader in(buf);
-  EXPECT_EQ(read_character(in), full_character());
-  EXPECT_EQ(read_character(in), Character{});
-  EXPECT_TRUE(in.done());
+  const std::vector<TraceEvent> back = decode_records(
+      send_record(full_character()) + send_record(Character{}));  // blank
+  ASSERT_EQ(back.size(), 2u);
+  EXPECT_EQ(back[0].payload, full_character());
+  EXPECT_EQ(back[1].payload, Character{});
 }
 
 TEST(TraceCharacterCodec, BlankIsOneByte) {
@@ -133,21 +156,19 @@ TEST(TraceCharacterCodec, EveryLaneMaskRoundTrips) {
     if (mask & kLaneDfs) c.set_dfs(DfsToken{port(8), kStarPort});
     ASSERT_EQ(c.lanes, mask);
 
-    std::string buf;
-    write_character(buf, c);
+    const std::string record = send_record(c);
     std::uint64_t bitmap = 0;
-    ASSERT_TRUE(ByteReader(buf).varint(bitmap));
+    ASSERT_TRUE(ByteReader(std::string_view(record).substr(kSendCharacterAt))
+                    .varint(bitmap));
     EXPECT_EQ(bitmap, mask);
-    ByteReader in(buf);
-    const Character back = read_character(in);
-    EXPECT_EQ(back.lanes, mask);
-    EXPECT_EQ(back, c) << "mask " << mask;
-    EXPECT_TRUE(in.done()) << "mask " << mask;
+    const std::vector<TraceEvent> back = decode_records(record);
+    ASSERT_EQ(back.size(), 1u) << "mask " << mask;
+    EXPECT_EQ(back[0].payload.lanes, mask);
+    EXPECT_EQ(back[0].payload, c) << "mask " << mask;
   }
-  std::string bad;
+  std::string bad = send_record(Character{}).substr(0, kSendCharacterAt);
   put_varint(bad, 1u << kNumLaneBits);
-  ByteReader in(bad);
-  EXPECT_THROW(read_character(in), TraceError);
+  EXPECT_THROW(decode_records(bad), TraceError);
 }
 
 RecordedTrace sample_trace() {
@@ -283,17 +304,97 @@ TEST(TraceIo, TruncatedEventThrows) {
   for (const TraceEvent& ev : sample_trace().events) {
     write_event_record(records, ev, last);
   }
+  EXPECT_EQ(decode_records(records), sample_trace().events);
   // Chop inside the final event (kRunEnd is kind + tick delta + status =
   // 3 bytes here); a mid-record end must be loud, not a silent short read.
-  ByteReader in(std::string_view(records).substr(0, records.size() - 1));
-  TraceEvent ev;
-  last = 0;
   EXPECT_THROW(
-      {
-        while (read_event_record(in, ev, last)) {
-        }
-      },
+      decode_records(std::string_view(records).substr(0, records.size() - 1)),
       TraceError);
+}
+
+// The decoder's TraceError text for each kind of corrupt record, pinned.
+TEST(TraceIo, CorruptRecordErrorsArePinned) {
+  const auto record = [](TraceEventKind kind, std::uint64_t tick_delta,
+                         std::uint64_t a) {
+    std::string r(1, static_cast<char>(kind));
+    put_varint(r, tick_delta);
+    put_varint(r, a);
+    return r;
+  };
+  const auto send_with = [&](std::uint16_t lanes, std::string lane_bytes) {
+    std::string r = record(TraceEventKind::kWireSend, 0, 0);
+    put_varint(r, lanes);
+    return r + lane_bytes;
+  };
+  std::string root = record(TraceEventKind::kRootEvent, 0, 0);
+  root.push_back(1);  // out port; the in port is missing
+
+  struct Case {
+    const char* name;
+    std::string bytes;
+    const char* what;
+  };
+  const Case cases[] = {
+      {"unknown kind", std::string(1, static_cast<char>(kNumTraceEventKinds)),
+       "trace corrupt: unknown event kind 12"},
+      {"tick overflow",
+       record(TraceEventKind::kNodeStep,
+              static_cast<std::uint64_t>(std::numeric_limits<Tick>::max()),
+              0) +
+           record(TraceEventKind::kNodeStep, 1, 0),
+       "trace corrupt: tick overflow"},
+      {"a > u32", record(TraceEventKind::kNodeStep, 0, 1ull << 32),
+       "trace corrupt: field out of range"},
+      {"unknown lane bits", send_with(1u << kNumLaneBits, ""),
+       "trace corrupt: unknown character lane bits"},
+      {"bad snake part", send_with(kLaneDie0, std::string("\x03\x00\x00", 3)),
+       "trace corrupt: bad snake part 3"},
+      {"bad rloop kind", send_with(kLaneRloop, std::string("\x03\x00\x00", 3)),
+       "trace corrupt: bad rloop kind"},
+      {"bad bloop kind", send_with(kLaneBloop, std::string("\x03\x00", 2)),
+       "trace corrupt: bad bloop kind"},
+      {"truncated byte field", root, "trace truncated: unexpected end of data"},
+      {"truncated varint field",
+       std::string(1, static_cast<char>(TraceEventKind::kNodeStep)) + '\x80',
+       "trace corrupt: truncated or over-long varint"},
+      {"truncated character", send_with(kLaneDfs, std::string(1, '\x01')),
+       "trace truncated: unexpected end of data"},
+  };
+  for (const Case& c : cases) {
+    try {
+      (void)decode_records(c.bytes);
+      ADD_FAILURE() << c.name << ": decoded without an error";
+    } catch (const TraceError& e) {
+      EXPECT_STREQ(e.what(), c.what) << c.name;
+    }
+  }
+}
+
+// Every recorder hook appends through one window check, so each throws
+// Error before begin() and after finish(), and appends nothing.
+TEST(TraceIo, RecorderHooksThrowOutsideTheWindow) {
+  const auto every_hook = [](TraceRecorder& r) {
+    EXPECT_THROW(r.on_schedule(0, 0), Error);
+    EXPECT_THROW(r.on_step(0, 0), Error);
+    EXPECT_THROW(r.on_send(0, 0, Character{}), Error);
+    EXPECT_THROW(r.on_inject(0, 0, Character{}, false), Error);
+    EXPECT_THROW(r.on_transcript(TranscriptEvent{}), Error);
+    EXPECT_THROW(r.on_rca_start(0, 0, true), Error);
+    EXPECT_THROW(r.on_rca_phase(0, 0, RcaPhase{}), Error);
+    EXPECT_THROW(r.on_rca_complete(0, 0), Error);
+    EXPECT_THROW(r.on_bca_start(0, 0), Error);
+    EXPECT_THROW(r.on_bca_complete(0, 0), Error);
+    EXPECT_THROW(r.on_grow_erased(0, 0, false), Error);
+    EXPECT_THROW(r.finish(0, RunStatus::kTerminated), Error);
+  };
+  TraceRecorder r;
+  every_hook(r);
+  EXPECT_TRUE(r.events().empty());
+  r.begin(directed_ring(3), 0, ProtocolConfig{});
+  r.on_step(0, 0);
+  r.finish(1, RunStatus::kTerminated);
+  every_hook(r);
+  EXPECT_EQ(r.events().size(), 2u);
 }
 
 TEST(TraceIo, EventStreamMayEndWithoutRunEnd) {
