@@ -13,7 +13,7 @@ void ResultCache::touch(LruList::iterator it) {
   lru_.splice(lru_.begin(), lru_, it);
 }
 
-bool ResultCache::insert_locked(const CacheKey& key, const CachedMap& value) {
+bool ResultCache::insert_locked(const CacheKey& key, Entry value) {
   const auto it = index_.find(key);
   if (it != index_.end()) {
     // Concurrent computations under distinct flight discriminators can
@@ -22,7 +22,7 @@ bool ResultCache::insert_locked(const CacheKey& key, const CachedMap& value) {
     touch(it->second);
     return false;
   }
-  lru_.emplace_front(key, value);
+  lru_.emplace_front(key, std::move(value));
   index_[key] = lru_.begin();
   ++stats_.inserts;
   while (lru_.size() > capacity_) {
@@ -33,32 +33,34 @@ bool ResultCache::insert_locked(const CacheKey& key, const CachedMap& value) {
   return true;
 }
 
-std::optional<CachedMap> ResultCache::lookup(const CacheKey& key) {
+std::shared_ptr<const CachedMap> ResultCache::lookup(const CacheKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
+  if (it == index_.end()) return nullptr;
   ++stats_.hits;
   touch(it->second);
   return it->second->second;
 }
 
-std::optional<CachedMap> ResultCache::peek(const CacheKey& key) const {
+std::shared_ptr<const CachedMap> ResultCache::peek(const CacheKey& key) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
+  if (it == index_.end()) return nullptr;
   return it->second->second;
 }
 
 bool ResultCache::put(const CacheKey& key, const CachedMap& value) {
+  // Built before the lock: the copy is the only part that scales with the
+  // map, and no other caller needs to wait for it.
+  Entry entry = std::make_shared<const CachedMap>(value);
   std::lock_guard<std::mutex> lock(mu_);
-  return insert_locked(key, value);
+  return insert_locked(key, std::move(entry));
 }
 
-CachedMap ResultCache::get_or_compute(const CacheKey& key,
-                                      const std::function<CachedMap()>& compute,
-                                      std::string* outcome,
-                                      std::uint64_t flight_discriminator,
-                                      const std::function<void()>& looked_up) {
+std::shared_ptr<const CachedMap> ResultCache::get_or_compute(
+    const CacheKey& key, const std::function<CachedMap()>& compute,
+    std::string* outcome, std::uint64_t flight_discriminator,
+    const std::function<void()>& looked_up) {
   const FlightKey flight_key{key, flight_discriminator};
   std::shared_ptr<InFlight> pending;
   {
@@ -92,14 +94,14 @@ CachedMap ResultCache::get_or_compute(const CacheKey& key,
 
   if (outcome) *outcome = "miss";
   try {
-    CachedMap value = compute();
+    Entry value = std::make_shared<const CachedMap>(compute());
     std::lock_guard<std::mutex> lock(mu_);
     insert_locked(key, value);
-    pending->value = std::move(value);
+    pending->value = value;
     pending->done = true;
     in_flight_.erase(flight_key);
     done_cv_.notify_all();
-    return pending->value;
+    return value;
   } catch (...) {
     {
       std::lock_guard<std::mutex> lock(mu_);

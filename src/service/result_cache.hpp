@@ -21,6 +21,11 @@
 // in-flight entry and share its result (or its exception) instead of
 // launching a second protocol run. Hit/miss/coalesce/eviction counters are
 // exposed for the `stats` request and asserted by tests/test_service.cpp.
+//
+// Entries are immutable once stored and handed out as shared pointers, so a
+// hit costs a reference count, not a copy of the map text; an entry evicted
+// while a caller still writes its response stays alive until that caller
+// lets go of it.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +34,6 @@
 #include <memory>
 #include <mutex>
 #include <condition_variable>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -100,19 +104,19 @@ class ResultCache {
   // the key is resolved as a hit, a coalesce or a newly registered flight,
   // before any wait or compute: the service uses it to let the next
   // pipelined request of a connection make its own lookup.
-  CachedMap get_or_compute(const CacheKey& key,
-                           const std::function<CachedMap()>& compute,
-                           std::string* outcome = nullptr,
-                           std::uint64_t flight_discriminator = 0,
-                           const std::function<void()>& looked_up = {});
+  std::shared_ptr<const CachedMap> get_or_compute(
+      const CacheKey& key, const std::function<CachedMap()>& compute,
+      std::string* outcome = nullptr, std::uint64_t flight_discriminator = 0,
+      const std::function<void()>& looked_up = {});
 
-  // Plain lookup (counts a hit and refreshes LRU recency when found).
-  std::optional<CachedMap> lookup(const CacheKey& key);
+  // Plain lookup of a completed entry (counts a hit and refreshes LRU
+  // recency when found; null otherwise, and nothing is counted).
+  std::shared_ptr<const CachedMap> lookup(const CacheKey& key);
 
   // Stats-neutral lookup: touches no counter and no LRU recency. The
   // replication path reads entries through this so pushing a copy to a ring
   // successor never distorts the hit/miss numbers tests and CI assert.
-  std::optional<CachedMap> peek(const CacheKey& key) const;
+  std::shared_ptr<const CachedMap> peek(const CacheKey& key) const;
 
   // Inserts a completed determination without computing it — the
   // warm-start replay of a persistent store and the `cache_put` replication
@@ -124,9 +128,11 @@ class ResultCache {
   CacheStats stats() const;
 
  private:
+  using Entry = std::shared_ptr<const CachedMap>;
+
   struct InFlight {
     bool done = false;
-    CachedMap value;
+    Entry value;
     std::exception_ptr error;
   };
 
@@ -142,7 +148,7 @@ class ResultCache {
     }
   };
 
-  using LruList = std::list<std::pair<CacheKey, CachedMap>>;
+  using LruList = std::list<std::pair<CacheKey, Entry>>;
 
   // Pre: lock held. Moves `it` to the front (most recently used).
   void touch(LruList::iterator it);
@@ -150,7 +156,7 @@ class ResultCache {
   // the key was absent. A key computed concurrently under two flight
   // discriminators can already be present — runs are deterministic, so the
   // existing entry is simply refreshed.
-  bool insert_locked(const CacheKey& key, const CachedMap& value);
+  bool insert_locked(const CacheKey& key, Entry value);
 
   mutable std::mutex mu_;
   std::condition_variable done_cv_;

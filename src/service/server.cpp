@@ -9,6 +9,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -176,29 +177,40 @@ int Server::serve(std::ostream& log) {
 }
 
 bool Server::write_response(int fd, const std::string& line) {
-  const std::string data = line + "\n";
+  // The line and its terminator go out as one gather write: no copy of the
+  // response to append "\n". A send that fits the socket buffer (every
+  // response of a reading peer, in practice) costs no poll.
+  static const char kNewline = '\n';
+  const std::size_t total = line.size() + 1;
   std::size_t off = 0;
-  while (off < data.size()) {
-    pollfd pfd{fd, POLLOUT, 0};
-    const int ready = ::poll(&pfd, 1, kPollMs);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return false;
+  while (off < total) {
+    iovec iov[2];
+    int n_iov = 0;
+    if (off < line.size()) {
+      iov[n_iov++] = {const_cast<char*>(line.data()) + off,
+                      line.size() - off};
     }
-    if (ready == 0) {
-      // A connected peer that stopped reading fills the send buffer; the
-      // drain path must still be able to exit, so the write is abandoned
-      // (truncating that client's stream) once closing_ is raised.
-      if (closing_.load(std::memory_order_acquire)) return false;
+    iov[n_iov++] = {const_cast<char*>(&kNewline), 1};
+    msghdr msg = {};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<std::size_t>(n_iov);
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n >= 0) {
+      off += static_cast<std::size_t>(n);
       continue;
     }
-    const ssize_t n = ::send(fd, data.data() + off, data.size() - off,
-                             MSG_NOSIGNAL | MSG_DONTWAIT);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
       return false;  // EPIPE and friends: the peer is gone
     }
-    off += static_cast<std::size_t>(n);
+    // The send buffer is full: wait until the peer reads.
+    pollfd pfd{fd, POLLOUT, 0};
+    const int ready = ::poll(&pfd, 1, kPollMs);
+    if (ready < 0 && errno != EINTR) return false;
+    // A connected peer that stopped reading keeps the buffer full; the
+    // drain path must still be able to exit, so the write is abandoned
+    // (truncating that client's stream) once closing_ is raised.
+    if (ready == 0 && closing_.load(std::memory_order_acquire)) return false;
   }
   return true;
 }

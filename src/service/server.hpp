@@ -6,7 +6,8 @@
 // are honoured promptly); each connection gets a reader thread that parses
 // complete lines, submits them to the Service — *batched*, so a pipelining
 // client genuinely exercises the queue and in-flight dedup — and writes the
-// responses back in request order. Stopping is always a drain: requests
+// responses back in request order. A determine that is a completed cache
+// hit is answered inside submit(), on this reader thread. Stopping is always a drain: requests
 // already accepted are executed before serve() returns, whether the trigger
 // was a shutdown request or SIGINT/SIGTERM via ServerOptions::stop.
 //
@@ -76,9 +77,10 @@ class Server {
 
   void handle_connection(int fd);
   void reap_connections(bool all);
-  // Writes line + '\n', polling for writability so a peer that stopped
-  // reading can never wedge the drain path: returns false on a dead peer
-  // or when closing_ is raised mid-write.
+  // Writes line + '\n', polling for writability only when the send buffer
+  // is full, so a peer that stopped reading can never wedge the drain
+  // path: returns false on a dead peer or when closing_ is raised
+  // mid-write.
   bool write_response(int fd, const std::string& line);
 
   ServerOptions opt_;

@@ -1,10 +1,9 @@
 #include "service/service.hpp"
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-
-#include <chrono>
 
 #include "core/gtd.hpp"
 #include "core/map_io.hpp"
@@ -63,6 +62,30 @@ std::uint64_t parse_hash_hex(const std::string& hex) {
     }
   }
   return h;
+}
+
+// The success response of a determine. The worker path and the hits
+// answered at submit both write it, so a hit has the same bytes either way.
+std::string determine_response(const std::string& id, std::string_view outcome,
+                               const CacheKey& key, const CachedMap& r,
+                               bool include_map) {
+  JsonWriter w;
+  if (!id.empty()) w.field_raw("id", id);
+  w.field("op", "determine")
+      .field("ok", true)
+      .field("status", "exact")
+      .field("cache", outcome)
+      .field("key", hash_hex(key.graph_hash))
+      .field("config", key.config)
+      .field("label", r.label)
+      .field("n", static_cast<std::uint64_t>(r.n))
+      .field("d", static_cast<std::uint64_t>(r.d))
+      .field("e", static_cast<std::uint64_t>(r.e))
+      .field("ticks", static_cast<std::int64_t>(r.ticks))
+      .field("messages", r.messages)
+      .field("node_steps", r.node_steps);
+  if (include_map) w.field("map", r.map_text);
+  return w.str();
 }
 
 }  // namespace
@@ -248,9 +271,48 @@ void Service::stop() {
   if (pump_.joinable()) pump_.join();
 }
 
+struct Service::Determine {
+  CacheKey key;
+  runner::EngineConfig config;
+  Tick max_ticks = 0;
+  bool include_map = true;
+  // Set by build() only: a known identity skips generation entirely.
+  std::optional<PortGraph> graph;
+  std::string label;
+  NodeId root = 0;
+
+  void build(const JsonObject& req) {
+    if (graph) return;
+    graph = request_graph(req, &label);
+    root = request_root(req, *graph);
+  }
+};
+
+std::size_t Service::FamilyIdentityHash::operator()(
+    const FamilyIdentity& k) const {
+  std::size_t h = std::hash<std::string>{}(k.family);
+  for (const std::uint64_t v : {k.nodes, k.seed, k.root}) {
+    h ^= std::hash<std::uint64_t>{}(v) + 0x9e3779b97f4a7c15ull + (h << 6) +
+         (h >> 2);
+  }
+  return h;
+}
+
+std::size_t Service::known_identities() const {
+  std::lock_guard<std::mutex> lock(identity_mu_);
+  return identities_.size();
+}
+
 std::uint64_t Service::submit(std::string line, std::uint64_t after) {
   const std::uint64_t ticket =
       next_ticket_.fetch_add(1, std::memory_order_relaxed);
+  if (std::optional<std::string> hit = answer_hit(line, after)) {
+    std::promise<std::string> ready;
+    ready.set_value(std::move(*hit));
+    std::lock_guard<std::mutex> lock(futures_mu_);
+    futures_[ticket] = ready.get_future();
+    return ticket;
+  }
   Job job;
   job.ticket = ticket;
   job.after = after;
@@ -293,6 +355,47 @@ std::string Service::wait(std::uint64_t ticket) {
 }
 
 std::string Service::call(const std::string& line) { return wait(submit(line)); }
+
+// A ticket no longer in futures_ was already waited on, so it completed.
+bool Service::completed(std::uint64_t after) {
+  if (after == 0) return true;
+  std::lock_guard<std::mutex> lock(futures_mu_);
+  const auto it = futures_.find(after);
+  return it == futures_.end() ||
+         it->second.wait_for(std::chrono::seconds(0)) ==
+             std::future_status::ready;
+}
+
+// Requiring the predecessor's response, not just its lookup, keeps a
+// connection's counters in request order: a `stats` pipelined before a hit
+// never counts that hit.
+std::optional<std::string> Service::answer_hit(const std::string& line,
+                                               std::uint64_t after) {
+  if (stopped_.load(std::memory_order_acquire) || !completed(after)) {
+    return std::nullopt;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  std::string resp;
+  try {
+    const JsonObject req = parse_json_object(line);
+    if (req.get_string("op") != "determine") return std::nullopt;
+    const Determine d = resolve_determine(req);
+    const std::shared_ptr<const CachedMap> r = cache_.lookup(d.key);
+    if (!r) return std::nullopt;
+    resp = determine_response(req.raw_token("id"), "hit", d.key, *r,
+                              d.include_map);
+  } catch (const std::exception&) {
+    return std::nullopt;  // a worker writes the error response
+  }
+  const int shard = opt_.workers;
+  requests_total_->inc(shard);
+  served_.determine.fetch_add(1, std::memory_order_relaxed);
+  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  op_latency_us_[0]->record(static_cast<std::uint64_t>(us), shard);
+  return resp;
+}
 
 // A worker only waits on an `after` ticket that was queued before its own:
 // the queue is FIFO, so that ticket is already held by a worker, and the
@@ -388,63 +491,79 @@ std::string Service::handle_line(const Job& job, int worker) {
   return resp;
 }
 
+Service::Determine Service::resolve_determine(const JsonObject& req) {
+  Determine d;
+  // The identity of a pure family request, read with request_graph's
+  // defaults; nullopt for inline graphs (their text is not a safe key) and
+  // for fields that would not read, whose errors the build reports.
+  std::optional<FamilyIdentity> identity;
+  if (req.has("family") && !req.has("graph")) {
+    try {
+      identity = FamilyIdentity{req.require_string("family"),
+                                req.get_u64("nodes", 16),
+                                req.get_u64("seed", 1),
+                                req.get_u64("root", 0)};
+    } catch (const JsonError&) {
+    }
+  }
+  std::optional<std::uint64_t> hash;
+  if (identity) {
+    std::lock_guard<std::mutex> lock(identity_mu_);
+    const auto it = identities_.find(*identity);
+    if (it != identities_.end()) hash = it->second;
+  }
+  if (!hash) {
+    d.build(req);  // throws every validation error a build would
+    hash = canonical_hash(*d.graph, d.root);
+    if (identity) {
+      std::lock_guard<std::mutex> lock(identity_mu_);
+      if (identities_.size() >= opt_.cache_capacity) identities_.clear();
+      identities_.emplace(std::move(*identity), *hash);
+    }
+  }
+  d.config = runner::make_engine_config(req.get_string("config", "ratio3"));
+  d.max_ticks = req.get_i64("max_ticks", 0);
+  d.include_map = req.get_bool("include_map", true);
+  d.key = CacheKey{*hash, d.config.label};
+  return d;
+}
+
 std::string Service::handle_determine(const JsonObject& req,
                                       const std::string& id,
                                       const Job& job, int worker) {
   Arena* arena = &arenas_[static_cast<std::size_t>(worker)];
-  std::string label;
-  const PortGraph g = request_graph(req, &label);
-  const NodeId root = request_root(req, g);
-  const runner::EngineConfig config =
-      runner::make_engine_config(req.get_string("config", "ratio3"));
-  const Tick max_ticks = req.get_i64("max_ticks", 0);
-  const bool include_map = req.get_bool("include_map", true);
-
-  const CacheKey key{canonical_hash(g, root), config.label};
-
-  JsonWriter w;
-  if (!id.empty()) w.field_raw("id", id);
-  w.field("op", "determine");
+  Determine d = resolve_determine(req);
 
   await_lookup(job.after);
   std::string outcome;
+  JsonWriter w;
+  if (!id.empty()) w.field_raw("id", id);
+  w.field("op", "determine");
   try {
     // The tick budget discriminates the *in-flight* identity only: budgets
     // never change a success (so completed entries ignore them), but a
     // strangled run's budget failure must not be inherited by a
     // generously-budgeted concurrent twin.
-    const CachedMap r = cache_.get_or_compute(
-        key,
+    const std::shared_ptr<const CachedMap> r = cache_.get_or_compute(
+        d.key,
         [&] {
-          return execute_determine(g, root, config, max_ticks, label, arena,
-                                   &engine_metrics_, worker);
+          d.build(req);
+          return execute_determine(*d.graph, d.root, d.config, d.max_ticks,
+                                   d.label, arena, &engine_metrics_, worker);
         },
-        &outcome, static_cast<std::uint64_t>(max_ticks),
+        &outcome, static_cast<std::uint64_t>(d.max_ticks),
         [&] { lookup_done(job.ticket); });
     // Only the computing caller persists the entry (hits replayed it, and
     // coalesced twins share the one computation), so the store grows by at
     // most one record per fresh determination.
-    if (store_ && outcome == "miss") store_->append(key, r);
-    w.field("ok", true)
-        .field("status", "exact")
-        .field("cache", outcome)
-        .field("key", hash_hex(key.graph_hash))
-        .field("config", config.label)
-        .field("label", r.label)
-        .field("n", static_cast<std::uint64_t>(r.n))
-        .field("d", static_cast<std::uint64_t>(r.d))
-        .field("e", static_cast<std::uint64_t>(r.e))
-        .field("ticks", static_cast<std::int64_t>(r.ticks))
-        .field("messages", r.messages)
-        .field("node_steps", r.node_steps);
-    if (include_map) w.field("map", r.map_text);
-    return w.str();
+    if (store_ && outcome == "miss") store_->append(d.key, *r);
+    return determine_response(id, outcome, d.key, *r, d.include_map);
   } catch (const DetermineError& e) {
     served_.errors.fetch_add(1, std::memory_order_relaxed);
     w.field("ok", false)
         .field("status", e.status())
         .field("cache", outcome)
-        .field("key", hash_hex(key.graph_hash))
+        .field("key", hash_hex(d.key.graph_hash))
         .field("error", std::string(e.what()));
   } catch (const Error& e) {
     // A protocol-invariant violation (fail-loud posture): the run threw.
@@ -452,12 +571,14 @@ std::string Service::handle_determine(const JsonObject& req,
     w.field("ok", false)
         .field("status", "violation")
         .field("cache", outcome)
-        .field("key", hash_hex(key.graph_hash))
+        .field("key", hash_hex(d.key.graph_hash))
         .field("error", std::string(e.what()));
   }
   if (!opt_.trace_dir.empty()) {
-    const std::string path = capture_determine_trace(
-        g, root, config, max_ticks, opt_.trace_dir, job.ticket, arena);
+    d.build(req);
+    const std::string path =
+        capture_determine_trace(*d.graph, d.root, d.config, d.max_ticks,
+                                opt_.trace_dir, job.ticket, arena);
     if (!path.empty()) w.field("trace", path);
   }
   return w.str();
@@ -578,8 +699,8 @@ std::string Service::handle_cache_get(const JsonObject& req,
   JsonWriter w;
   if (!id.empty()) w.field_raw("id", id);
   w.field("op", "cache_get").field("ok", true);
-  const std::optional<CachedMap> entry = cache_.peek(key);
-  w.field("found", entry.has_value())
+  const std::shared_ptr<const CachedMap> entry = cache_.peek(key);
+  w.field("found", entry != nullptr)
       .field("key", hash_hex(key.graph_hash))
       .field("config", key.config);
   if (entry) {

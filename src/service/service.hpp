@@ -6,9 +6,21 @@
 // Unix-socket Server (server.hpp) is a thin transport in front of this
 // class; the test suite drives the same code with no socket at all.
 //
+// Which thread answers what. submit() answers a determine on the calling
+// thread (a Server connection thread, or the caller of call()) when the
+// service is not stopped, the line parses and validates, the connection's
+// previous ticket has completed, and the entry is complete in the cache:
+// a warm hit costs its lookup and its response bytes, with no handoff to a
+// worker. It counts exactly what a worker would for that hit. Every other
+// line (misses, coalesced twins, failures, and every op but determine) is
+// queued and answered by a pool worker, as is a determine whose
+// predecessor is still in flight. A family request's network identity
+// (family, nodes, seed, root) maps to its canonical hash once it has been
+// built and validated, so a repeat neither regenerates nor rehashes the
+// network; a worker builds it only to compute a miss or capture a failure.
+//
 // Protocol (one flat JSON object per line; full reference in
 // docs/dtopctl.md § dtopd):
-//
 //   {"op": "determine", "family": "torus", "nodes": 16, "seed": 1,
 //    "root": 0, "config": "ratio3"}          -> run (or recall) the protocol
 //   {"op": "verify", "map": "...", "family": ...}  -> check a map
@@ -51,6 +63,7 @@
 #include <iterator>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -116,10 +129,12 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  // Enqueues one request line; returns a ticket to pass to wait(). Tickets
-  // are assigned in submission order and seed deterministic artifact names
-  // (trace captures). `after`, when non-zero, is an earlier ticket of the
-  // same connection: this request's cache lookup waits for that one's.
+  // Enqueues one request line, or answers it at once when it is a cache
+  // hit (see the header comment); returns a ticket to pass to wait().
+  // Tickets are assigned in submission order and seed deterministic
+  // artifact names (trace captures). `after`, when non-zero, is an earlier
+  // ticket of the same connection: this request's cache lookup waits for
+  // that one's.
   std::uint64_t submit(std::string line, std::uint64_t after = 0);
 
   // Blocks until the ticket's response line is ready. Each ticket may be
@@ -145,6 +160,10 @@ class Service {
   // Entries replayed from the persistent store at construction.
   std::size_t warm_loaded() const { return warm_loaded_; }
 
+  // Family-request identities whose canonical hash is remembered (at most
+  // cache_capacity).
+  std::size_t known_identities() const;
+
  private:
   struct Job {
     std::uint64_t ticket = 0;
@@ -166,11 +185,41 @@ class Service {
     std::atomic<std::uint64_t> errors{0};
   };
 
+  // A family request's network identity: everything make_family and the
+  // root check read. Generation is deterministic, so one identity always
+  // names one rooted network and one canonical hash.
+  struct FamilyIdentity {
+    std::string family;
+    std::uint64_t nodes = 0;
+    std::uint64_t seed = 0;
+    std::uint64_t root = 0;
+    bool operator==(const FamilyIdentity&) const = default;
+  };
+  struct FamilyIdentityHash {
+    std::size_t operator()(const FamilyIdentity& k) const;
+  };
+
+  // A validated determine request and its cache key (defined in
+  // service.cpp).
+  struct Determine;
+
   // Never throws: every failure becomes an ok=false response line.
   // `worker` is the executing pool-worker index; it selects the per-worker
   // arena and never influences the response (determinism contract).
   std::string handle_line(const Job& job, int worker);
 
+  // The response to a determine that is a completed cache hit, answered on
+  // the submitting thread; nullopt leaves the line to a worker, with
+  // nothing counted.
+  std::optional<std::string> answer_hit(const std::string& line,
+                                        std::uint64_t after);
+  // True once `after` (0: none) has its response.
+  bool completed(std::uint64_t after);
+
+  // Parses and validates a determine and derives its cache key, building
+  // the network only when its identity is not yet known. Throws the same
+  // errors, in the same order, as building it would.
+  Determine resolve_determine(const JsonObject& req);
   std::string handle_determine(const JsonObject& req, const std::string& id,
                                const Job& job, int worker);
 
@@ -209,6 +258,11 @@ class Service {
   std::mutex lookup_mu_;
   std::condition_variable lookup_cv_;
   std::unordered_set<std::uint64_t> lookups_ahead_;
+  // Canonical hash per family identity; cleared when it reaches
+  // cache_capacity. Inline "graph" requests are never keyed by their text.
+  mutable std::mutex identity_mu_;
+  std::unordered_map<FamilyIdentity, std::uint64_t, FamilyIdentityHash>
+      identities_;
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> stopped_{false};
   Served served_;
@@ -220,6 +274,8 @@ class Service {
   // only reader.
   obs::Registry registry_;
   obs::EngineMetrics engine_metrics_;  // shared by every request engine
+  // Hits answered at submit record under shard `workers`, apart from the
+  // pool workers' own shards.
   obs::Counter* requests_total_ = nullptr;   // every submitted line
   obs::Counter* rejected_ = nullptr;  // lines that never reached a known op
   // Per-op wall latency in microseconds, indexed like kStatsServedFields.

@@ -6,9 +6,11 @@
 // respecting capacity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <future>
 #include <sstream>
 #include <thread>
@@ -22,6 +24,7 @@
 #include "graph/families.hpp"
 #include "graph/graph_io.hpp"
 #include "graph/permute.hpp"
+#include "service/metrics_wire.hpp"
 #include "service/json.hpp"
 #include "service/result_cache.hpp"
 #include "service/server.hpp"
@@ -103,14 +106,17 @@ TEST(ResultCache, HitMissCountersAndLookup) {
   ResultCache cache(4);
   std::string outcome;
   const CacheKey key{0x1234, "ratio3"};
-  const CachedMap a =
+  const std::shared_ptr<const CachedMap> a =
       cache.get_or_compute(key, [] { return toy_result("a"); }, &outcome);
   EXPECT_EQ(outcome, "miss");
-  EXPECT_EQ(a.map_text, "a");
-  const CachedMap b = cache.get_or_compute(
+  EXPECT_EQ(a->map_text, "a");
+  const std::shared_ptr<const CachedMap> b = cache.get_or_compute(
       key, [] { return toy_result("WRONG — must not recompute"); }, &outcome);
   EXPECT_EQ(outcome, "hit");
-  EXPECT_EQ(b.map_text, "a");
+  EXPECT_EQ(b->map_text, "a");
+  // A hit shares the stored entry; it does not copy it.
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_EQ(cache.peek(key).get(), a.get());
 
   const CacheStats s = cache.stats();
   EXPECT_EQ(s.hits, 1u);
@@ -118,19 +124,19 @@ TEST(ResultCache, HitMissCountersAndLookup) {
   EXPECT_EQ(s.executions, 1u);
   EXPECT_EQ(s.inserts, 1u);
   EXPECT_EQ(s.size, 1u);
-  EXPECT_TRUE(cache.lookup(key).has_value());
-  EXPECT_FALSE(cache.lookup(CacheKey{0x9999, "ratio3"}).has_value());
+  EXPECT_TRUE(cache.lookup(key));
+  EXPECT_FALSE(cache.lookup(CacheKey{0x9999, "ratio3"}));
 }
 
 TEST(ResultCache, DistinctConfigsAreDistinctKeys) {
   ResultCache cache(4);
   cache.get_or_compute({1, "ratio3"}, [] { return toy_result("r3"); });
   std::string outcome;
-  const CachedMap m =
+  const std::shared_ptr<const CachedMap> m =
       cache.get_or_compute({1, "ratio2"}, [] { return toy_result("r2"); },
                            &outcome);
   EXPECT_EQ(outcome, "miss");
-  EXPECT_EQ(m.map_text, "r2");
+  EXPECT_EQ(m->map_text, "r2");
 }
 
 TEST(ResultCache, LruEvictionRespectsCapacity) {
@@ -141,17 +147,17 @@ TEST(ResultCache, LruEvictionRespectsCapacity) {
   }
   // Refresh key 1's recency, then insert a fourth: key 2 (now the LRU tail)
   // must be the one evicted.
-  EXPECT_TRUE(cache.lookup({1, "c"}).has_value());
+  EXPECT_TRUE(cache.lookup({1, "c"}));
   cache.get_or_compute({4, "c"}, [] { return toy_result("4"); });
 
   CacheStats s = cache.stats();
   EXPECT_EQ(s.size, 3u);
   EXPECT_EQ(s.capacity, 3u);
   EXPECT_EQ(s.evictions, 1u);
-  EXPECT_TRUE(cache.lookup({1, "c"}).has_value());
-  EXPECT_FALSE(cache.lookup({2, "c"}).has_value());
-  EXPECT_TRUE(cache.lookup({3, "c"}).has_value());
-  EXPECT_TRUE(cache.lookup({4, "c"}).has_value());
+  EXPECT_TRUE(cache.lookup({1, "c"}));
+  EXPECT_FALSE(cache.lookup({2, "c"}));
+  EXPECT_TRUE(cache.lookup({3, "c"}));
+  EXPECT_TRUE(cache.lookup({4, "c"}));
   // The lookup miss on key 2 is not a counted miss (only computes are).
   EXPECT_EQ(cache.stats().misses, 4u);
 }
@@ -229,11 +235,11 @@ TEST(ResultCache, FlightDiscriminatorPreventsFailureInheritance) {
   entered.get_future().wait();  // the strangled run is now in flight
 
   std::string outcome;
-  const CachedMap ok = cache.get_or_compute(
+  const std::shared_ptr<const CachedMap> ok = cache.get_or_compute(
       key, [] { return toy_result("ok"); }, &outcome,
       /*flight_discriminator=*/0);
   EXPECT_EQ(outcome, "miss");  // ran independently, did not coalesce
-  EXPECT_EQ(ok.map_text, "ok");
+  EXPECT_EQ(ok->map_text, "ok");
 
   release.set_value();
   strangled.join();
@@ -273,7 +279,7 @@ TEST(ResultCache, ConcurrentSuccessesUnderDistinctBudgetsStoreOneEntry) {
   EXPECT_EQ(s.size, 1u);
   EXPECT_EQ(s.inserts, 1u);
   EXPECT_EQ(s.executions, 2u);
-  EXPECT_TRUE(cache.lookup(key).has_value());
+  EXPECT_TRUE(cache.lookup(key));
 }
 
 TEST(ResultCache, ComputeFailureReachesEveryWaiterAndCachesNothing) {
@@ -354,6 +360,21 @@ std::vector<std::string> session_transcript(int workers) {
   for (const std::uint64_t t : tickets) transcript.push_back(svc.wait(t));
   transcript.push_back(svc.call(determine_line("torus", 9)));  // repeat: hit
   transcript.push_back(svc.call(R"({"op": "stats", "id": "s1"})"));
+  // A pipelined batch of one connection: hits answered at submit, a miss,
+  // and hits queued behind it.
+  const std::vector<std::string> tail = {
+      determine_line("debruijn", 16), determine_line("kautz", 12),
+      determine_line("ccc", 24),      determine_line("dering", 8),
+      determine_line("torus", 16),
+  };
+  tickets.clear();
+  std::uint64_t last = 0;
+  for (const std::string& line : tail) {
+    last = svc.submit(line, last);
+    tickets.push_back(last);
+  }
+  for (const std::uint64_t t : tickets) transcript.push_back(svc.wait(t));
+  transcript.push_back(svc.call(R"({"op": "stats", "id": "s2"})"));
   return transcript;
 }
 
@@ -531,6 +552,243 @@ TEST(ServiceLifecycle, ShutdownFlagsAndDrains) {
   // Submitting after the drain yields a structured refusal, not a hang.
   const std::uint64_t t = svc.submit(determine_line("torus", 9));
   EXPECT_NE(svc.wait(t).find("shutting down"), std::string::npos);
+}
+
+// ------------------------ service: hits at submit -------------------------
+
+// A miss long enough that a request submitted right after it is answered
+// (or not) well before the single worker finishes it.
+std::string long_miss_line() { return determine_line("debruijn", 256); }
+
+TEST(ServiceSubmit, CachedHitOvertakesAWorkerHeldOnAMiss) {
+  ServiceOptions opt;
+  opt.workers = 1;
+  Service svc(opt);
+  const std::string warm = svc.call(determine_line("torus", 9));
+  ASSERT_NE(warm.find("\"cache\": \"miss\""), std::string::npos);
+
+  const std::uint64_t miss = svc.submit(long_miss_line());
+  // Another caller's hit: answered on this thread, not queued behind the
+  // miss that holds the only worker.
+  const std::string hit = svc.wait(svc.submit(determine_line("torus", 9)));
+  // The miss inserts its entry only when it completes; the hit came first.
+  EXPECT_EQ(svc.cache_stats().inserts, 1u);
+  std::string expected = warm;
+  expected.replace(expected.find("\"cache\": \"miss\""),
+                   std::string("\"cache\": \"miss\"").size(),
+                   "\"cache\": \"hit\"");
+  EXPECT_EQ(hit, expected);
+  EXPECT_NE(svc.wait(miss).find("\"cache\": \"miss\""), std::string::npos);
+  EXPECT_EQ(svc.cache_stats().inserts, 2u);
+}
+
+TEST(ServiceSubmit, PipelinedStatsDoesNotCountTheHitBehindIt) {
+  ServiceOptions opt;
+  opt.workers = 1;
+  Service svc(opt);
+  svc.call(determine_line("torus", 9));
+  // Hold the worker so the stats request is still queued when the hit
+  // behind it on the same connection is submitted.
+  const std::uint64_t miss = svc.submit(long_miss_line());
+  const std::uint64_t stats = svc.submit(R"({"op": "stats"})");
+  const std::uint64_t hit = svc.submit(determine_line("torus", 9), stats);
+  const std::string stats_resp = svc.wait(stats);
+  EXPECT_NE(stats_resp.find("\"hits\": 0"), std::string::npos) << stats_resp;
+  // The warm-up and the miss, not the hit.
+  EXPECT_NE(stats_resp.find("\"determine\": 2"), std::string::npos)
+      << stats_resp;
+  EXPECT_NE(svc.wait(hit).find("\"cache\": \"hit\""), std::string::npos);
+  EXPECT_NE(svc.wait(miss).find("\"ok\": true"), std::string::npos);
+  const std::string after = svc.call(R"({"op": "stats"})");
+  EXPECT_NE(after.find("\"hits\": 1"), std::string::npos) << after;
+  EXPECT_NE(after.find("\"determine\": 3"), std::string::npos) << after;
+}
+
+TEST(ServiceSubmit, CachedHitAfterStopIsRefused) {
+  Service svc(ServiceOptions{});
+  ASSERT_NE(svc.call(determine_line("torus", 9)).find("\"ok\": true"),
+            std::string::npos);
+  svc.stop();
+  EXPECT_EQ(svc.call(determine_line("torus", 9)),
+            R"({"ok": false, "error": "service is shutting down"})");
+  EXPECT_EQ(svc.cache_stats().hits, 0u);
+}
+
+TEST(ServiceSubmit, RequestsTotalEqualsServedPlusRejected) {
+  ServiceOptions opt;
+  opt.workers = 4;
+  Service svc(opt);
+  svc.call(determine_line("torus", 9));
+  svc.call(determine_line("dering", 8));
+  // A pipelined batch: hits answered at submit, hits queued behind a
+  // predecessor, a miss, errors of every kind, and other ops.
+  const std::vector<std::string> batch = {
+      determine_line("torus", 9),
+      determine_line("dering", 8),
+      R"({"op": "stats"})",
+      determine_line("torus", 9),
+      determine_line("kautz", 12),
+      "not json",
+      R"({"op": "frobnicate"})",
+      R"({"op": "determine", "family": "torus", "nodes": 9, "root": 99})",
+      R"({"op": "determine", "family": "torus", "nodes": 9, "config": "x"})",
+      determine_line("dering", 8),
+  };
+  std::vector<std::uint64_t> tickets;
+  std::uint64_t last = 0;
+  for (const std::string& line : batch) {
+    last = svc.submit(line, last);
+    tickets.push_back(last);
+  }
+  for (const std::uint64_t t : tickets) (void)svc.wait(t);
+  for (int i = 0; i < 5; ++i) svc.call(determine_line("kautz", 12));
+
+  const obs::Snapshot s =
+      parse_snapshot_response(svc.call(R"({"op": "metrics"})"));
+  std::uint64_t served = 0;
+  for (std::size_t f = 0; f < kServedOpCount; ++f) {
+    served += s.counter_or(std::string("service_") + kStatsServedFields[f] +
+                           "_served_total");
+  }
+  const std::uint64_t rejected = s.counter_or("service_rejected_total");
+  EXPECT_EQ(rejected, 2u);
+  EXPECT_EQ(s.counter_or("service_requests_total"),
+            2 + batch.size() + 5 + 1);
+  EXPECT_EQ(s.counter_or("service_requests_total"), served + rejected);
+  // Every determine, hit or not, records one latency sample.
+  const auto* lat = s.find_histogram("service_determine_latency_us");
+  ASSERT_NE(lat, nullptr);
+  EXPECT_EQ(lat->hist.count(),
+            s.counter_or("service_determine_served_total"));
+  EXPECT_EQ(s.counter_or("service_determine_served_total"), 2u + 7u + 5u);
+  EXPECT_EQ(s.counter_or("cache_hits_total") +
+                s.counter_or("cache_misses_total") +
+                s.counter_or("cache_coalesced_total"),
+            2u + 5u + 5u);  // the two failed determines never looked up
+}
+
+// ---------------------- service: family identity map -----------------------
+
+std::string key_hex(const std::string& family, NodeId nodes,
+                    std::uint64_t seed, NodeId root) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(canonical_hash(
+                    make_family(family, nodes, seed).graph, root)));
+  return buf;
+}
+
+TEST(ServiceIdentity, RequestsDifferingInOneFieldGetDistinctEntries) {
+  struct Variant {
+    std::string family;
+    NodeId nodes;
+    std::uint64_t seed;
+    NodeId root;
+    std::string config;
+  };
+  // Each differs from the first in exactly one field.
+  const std::vector<Variant> variants = {
+      {"random3", 16, 5, 0, "ratio3"}, {"grid", 16, 5, 0, "ratio3"},
+      {"random3", 20, 5, 0, "ratio3"}, {"random3", 16, 6, 0, "ratio3"},
+      {"random3", 16, 5, 3, "ratio3"}, {"random3", 16, 5, 0, "ratio4"},
+  };
+  const auto line = [](const Variant& v) {
+    return JsonWriter()
+        .field("op", "determine")
+        .field("family", v.family)
+        .field("nodes", static_cast<std::uint64_t>(v.nodes))
+        .field("seed", v.seed)
+        .field("root", static_cast<std::uint64_t>(v.root))
+        .field("config", v.config)
+        .field("include_map", false)
+        .str();
+  };
+  Service svc(ServiceOptions{});
+  std::vector<std::string> entries;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Variant& v : variants) {
+      const std::string answer = svc.call(line(v));
+      const JsonObject resp = parse_json_object(answer);
+      ASSERT_TRUE(resp.get_bool("ok", false)) << answer;
+      EXPECT_EQ(resp.require_string("cache"), pass == 0 ? "miss" : "hit")
+          << line(v);
+      // The remembered hash is the one a fresh build computes.
+      EXPECT_EQ(resp.require_string("key"),
+                key_hex(v.family, v.nodes, v.seed, v.root));
+      if (pass == 0) {
+        entries.push_back(resp.require_string("key") + "/" + v.config);
+      }
+    }
+  }
+  std::sort(entries.begin(), entries.end());
+  EXPECT_EQ(std::unique(entries.begin(), entries.end()), entries.end());
+  EXPECT_EQ(svc.cache_stats().executions, variants.size());
+}
+
+TEST(ServiceIdentity, EvictedEntryOfAKnownIdentityIsRecomputed) {
+  ServiceOptions opt;
+  opt.cache_capacity = 2;
+  Service svc(opt);
+  const std::string req = R"({"op": "determine", "family": "random3", )"
+                          R"("nodes": 16, "seed": 5, "root": 2})";
+  const JsonObject first = parse_json_object(svc.call(req));
+  ASSERT_EQ(first.require_string("cache"), "miss");
+  // Two inline networks push the family entry out of the LRU; inline
+  // graphs never enter the identity map, so its identity stays known.
+  for (const NodeId n : {NodeId{8}, NodeId{9}}) {
+    JsonWriter w;
+    svc.call(w.field("op", "determine")
+                 .field("graph", graph_to_string(make_family("dering", n, 1).graph))
+                 .str());
+  }
+  ASSERT_EQ(svc.cache_stats().evictions, 1u);
+  ASSERT_EQ(svc.known_identities(), 1u);
+
+  const std::string again = svc.call(req);
+  const JsonObject resp = parse_json_object(again);
+  EXPECT_EQ(resp.require_string("cache"), "miss");
+  EXPECT_EQ(resp.require_string("key"), first.require_string("key"));
+  const PortGraph truth = make_family("random3", 16, 5).graph;
+  const TopologyMap map = map_from_string(resp.require_string("map"));
+  EXPECT_TRUE(verify_map(truth, 2, map).ok);
+  EXPECT_EQ(resp.require_string("label"), first.require_string("label"));
+  EXPECT_EQ(svc.cache_stats().executions, 4u);
+}
+
+TEST(ServiceIdentity, NeverHoldsMoreThanCacheCapacity) {
+  ServiceOptions opt;
+  opt.cache_capacity = 3;
+  Service svc(opt);
+  for (NodeId n = 2; n < 12; ++n) {
+    ASSERT_NE(svc.call(determine_line("dering", n)).find("\"ok\": true"),
+              std::string::npos);
+    EXPECT_LE(svc.known_identities(), 3u);
+    EXPECT_GE(svc.known_identities(), 1u);
+  }
+  // A request that fails validation is never remembered.
+  const std::size_t before = svc.known_identities();
+  svc.call(R"({"op": "determine", "family": "torus", "nodes": 9, "root": 99})");
+  EXPECT_EQ(svc.known_identities(), before);
+}
+
+TEST(ServiceIdentity, FamilyAndGraphTogetherAreStillRefused) {
+  Service svc(ServiceOptions{});
+  JsonWriter w;
+  const std::string both =
+      w.field("op", "determine")
+          .field("family", "torus")
+          .field("nodes", std::uint64_t{9})
+          .field("graph", graph_to_string(make_family("torus", 9, 1).graph))
+          .str();
+  const std::string cold = svc.call(both);
+  EXPECT_NE(cold.find("exactly one network source"), std::string::npos);
+  svc.call(determine_line("torus", 9));  // the identity is now known
+  EXPECT_EQ(svc.call(both), cold);
+  // So is a known identity whose other fields are bad.
+  EXPECT_NE(svc.call(R"({"op": "determine", "family": "torus", "nodes": 9, )"
+                     R"("seed": 1, "config": "ratio9"})")
+                .find("\"ok\": false"),
+            std::string::npos);
 }
 
 // ------------------------------ transport ---------------------------------
