@@ -274,7 +274,7 @@ std::string usage_text() {
       "                 [--scenarios none,budget@T,kill@T,unmark@T,dfs@T]\n"
       "                 [--root R] [--max-ticks T] [--threads T]\n"
       "                 [--format table|json|csv] [--out FILE] [--timing]\n"
-      "                 [--quiet] [--trace-dir DIR] [--cluster SOCKS]\n"
+      "                 [--quiet] [--trace-dir DIR]\n"
       "  dtopctl trace  record  (--family NAME --nodes N | --graph FILE)\n"
       "                 --out FILE [--seed S] [--root R] [--threads T]\n"
       "                 [--max-ticks T] [--config ratioK] [--scenario S]...\n"
@@ -293,22 +293,17 @@ std::string usage_text() {
       "  dtopctl serve  (--socket PATH | --listen HOST:PORT) [--workers N]\n"
       "                 [--cache N] [--cache-store FILE] [--trace-dir DIR]\n"
       "                 [--quiet]\n"
-      "  dtopctl client (--socket EP | --cluster EPS) [--request JSON]...\n"
-      "                 [--in FILE] [--shutdown]\n"
-      "  dtopctl cluster --shards N (--socket-dir DIR | --tcp-base PORT)\n"
-      "                 [--workers N] [--cache N] [--cache-dir DIR]\n"
-      "                 [--trace-dir DIR] [--max-restarts N] [--exe PATH]\n"
-      "                 [--quiet]\n"
-      "  dtopctl loadgen (--endpoint EP | --cluster EPS) [--concurrency C]\n"
+      "  dtopctl client --socket EP [--request JSON]... [--in FILE]\n"
+      "                 [--shutdown]\n"
+      "  dtopctl loadgen --endpoint EP [--concurrency C]\n"
       "                 [--rate R] [--requests N] [--duration S] [--zipf S]\n"
       "                 [--instances K] [--mix determine=8,verify=1,sweep=1]\n"
-      "                 [--seed S] [--replicas R] [--out FILE]\n"
-      "                 [--bench-json DIR] [--quiet]\n"
-      "  dtopctl metrics (--endpoint EP | --cluster EPS)\n"
-      "                 [--format table|json|prom] [--delta] [--per-shard]\n"
+      "                 [--seed S] [--out FILE] [--bench-json DIR]\n"
+      "                 [--quiet]\n"
+      "  dtopctl metrics --endpoint EP [--format table|json|prom] [--delta]\n"
       "                 [--out FILE]\n"
-      "  dtopctl top    (--endpoint EP | --cluster EPS) [--interval S]\n"
-      "                 [--iterations N] [--per-shard] [--no-clear]\n"
+      "  dtopctl top    --endpoint EP [--interval S] [--iterations N]\n"
+      "                 [--no-clear]\n"
       "  dtopctl help\n"
       "\n"
       "Endpoints (EP): a Unix socket path, or HOST:PORT for TCP.\n"
@@ -316,7 +311,7 @@ std::string usage_text() {
       "Integer LISTs accept commas and ranges: 8,16 or 8..64:8.\n"
       "File arguments accept '-' for stdin/stdout.\n"
       "Exit codes: 0 success, 1 runtime/verify failure, 2 usage error;\n"
-      "interrupted sweep/serve/cluster drain and exit 128+signal (130/143).\n"
+      "interrupted sweep/serve drain and exit 128+signal (130/143).\n"
       "Full reference: docs/dtopctl.md\n";
 }
 
@@ -342,8 +337,6 @@ int cli_main(const std::vector<std::string>& args, std::ostream& out,
     if (cmd == "serve") return serve_command(parse_serve_args(rest), out, err);
     if (cmd == "client")
       return client_command(parse_client_args(rest), out, err);
-    if (cmd == "cluster")
-      return cluster_command(parse_cluster_args(rest), out, err);
     if (cmd == "loadgen")
       return loadgen_command(parse_loadgen_args(rest), out, err);
     if (cmd == "metrics")

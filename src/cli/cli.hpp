@@ -14,20 +14,16 @@
 //           canonical-form result cache and optional persistent cache
 //           store — on a Unix-domain socket or a TCP listen address
 //           (src/service).
-//   client  send line-delimited JSON requests to a running dtopd — or, with
-//           --cluster, through the consistent-hash dispatcher over a set of
-//           dtopd shards — and print the responses.
-//   cluster spawn and babysit N `serve` shards (one process per shard,
-//           crashed children restarted, Unix sockets or TCP ports), the
-//           supervisor for `--cluster` clients.
+//   client  send line-delimited JSON requests to a running dtopd and print
+//           the responses.
 //   loadgen drive open- or closed-loop determine/verify/sweep traffic with
-//           Zipf-distributed topology instances against a live daemon or
-//           cluster; report throughput and p50/p95/p99 latency.
-//   metrics one-shot telemetry scrape of a daemon or cluster (the `metrics`
-//           protocol op): table, raw line-JSON, or Prometheus text.
-//   top     refreshing terminal view of a live daemon or cluster — delta
-//           scrapes rendered as throughput, per-op latency quantiles,
-//           cache hit rate, engine tick phases, and per-shard health.
+//           Zipf-distributed topology instances against a live daemon;
+//           report throughput and p50/p95/p99 latency.
+//   metrics one-shot telemetry scrape of a daemon (the `metrics` protocol
+//           op): table, raw line-JSON, or Prometheus text.
+//   top     refreshing terminal view of a live daemon — delta scrapes
+//           rendered as throughput, per-op latency quantiles, cache hit
+//           rate, and engine tick phases.
 //
 // The subcommand implementations take explicit option structs and write to
 // caller-supplied streams so the test suite can drive them in-process; the
@@ -58,8 +54,8 @@ class UsageError : public Error {
   explicit UsageError(std::string what) : Error(std::move(what)) {}
 };
 
-// How a subcommand obtains its network: a named family instance (families.cpp
-// dispatcher) or a dtop-graph v1 file ("-" = stdin).
+// How a subcommand obtains its network: a named family instance
+// (graph/families.hpp) or a dtop-graph v1 file ("-" = stdin).
 struct GraphSpec {
   std::string family;       // one of family_names(); empty when loading
   NodeId nodes = 16;        // size hint passed to make_family
@@ -86,8 +82,8 @@ struct GenOptions {
   // --permute SEED: emit a seed-derived relabelling of the instance instead
   // of the instance itself, with node 0 kept fixed so the relabelled graph
   // is still rooted at 0. Relabelled instances are rooted-isomorphic to the
-  // original — the canonical hash, and therefore the dtopd cache entry and
-  // the cluster shard, are identical (how CI asserts cache locality).
+  // original — the canonical hash, and therefore the dtopd cache entry, are
+  // identical (how CI asserts that a relabelling is a cache hit).
   bool permute = false;
   std::uint64_t permute_seed = 0;
 };
@@ -107,10 +103,6 @@ struct SweepOptions {
   bool timing = false;         // include wall-clock fields in json/csv
   bool quiet = false;          // suppress the per-job progress stream (err)
   std::string trace_dir;       // capture failed jobs' traces here (existing dir)
-  // --cluster a.sock,b.sock,...: execute the campaign's jobs remotely on a
-  // dtopd cluster through the canonical-hash dispatcher instead of
-  // in-process. Output stays byte-identical to the in-process run.
-  std::string cluster;
 };
 
 struct TraceOptions {
@@ -160,34 +152,14 @@ struct ServeOptions {
 };
 
 struct ClientOptions {
-  std::string socket;                 // --socket PATH (or --cluster, not both)
-  std::string cluster;                // --cluster a.sock,b.sock,... shard list
+  std::string socket;                 // --socket EP (Unix path or HOST:PORT)
   std::vector<std::string> requests;  // --request LINE (repeatable, in order)
   std::string in_file;                // --in FILE of request lines ("-" = stdin)
   bool shutdown = false;              // finish with an {"op":"shutdown"}
 };
 
-struct ClusterOptions {
-  int shards = 2;           // number of `serve` children
-  std::string socket_dir;   // sockets land at DIR/shard-<i>.sock
-  // --tcp-base PORT: shards listen on TCP 127.0.0.1:<PORT+i> instead of
-  // Unix sockets (socket_dir is then unused and may be empty). 0 = off.
-  int tcp_base = 0;
-  int workers = 1;          // per-shard request workers
-  std::size_t cache = 64;   // per-shard result-cache capacity
-  std::string cache_dir;    // per-shard stores DIR/shard-<i>.cache (created)
-  std::string trace_dir;    // per-shard capture dirs DIR/shard-<i> (created)
-  // Path of the dtopctl binary to exec for the children. Empty = this
-  // process's own image (/proc/self/exe); the flag exists for test drivers
-  // whose own image is not dtopctl.
-  std::string exe;
-  int max_restarts = 5;     // per-shard crash-restart budget
-  bool quiet = false;       // suppress supervisor lifecycle lines
-};
-
 struct LoadgenOptions {
-  std::string cluster;      // --cluster EP,EP,... (dispatcher; exactly one
-  std::string endpoint;     // --endpoint EP       of the two targets)
+  std::string endpoint;     // --endpoint EP (required)
   int concurrency = 4;      // in-flight workers (closed loop: = load)
   // --rate R: open-loop arrivals per second (latency includes queue wait);
   // 0 = closed loop (each worker issues its next request on completion).
@@ -198,27 +170,22 @@ struct LoadgenOptions {
   int instances = 16;          // distinct topology instances in the catalog
   std::string mix = "determine=8,verify=1,sweep=1";  // op weights
   std::uint64_t seed = 1;      // schedule seed (fixes the request stream)
-  int replicas = 1;            // dispatcher ring replication (cluster mode)
   std::string out;             // report destination (empty or "-" = stdout)
   std::string bench_json;      // dir for BENCH_LOADGEN.json (empty = none)
   bool quiet = false;          // suppress progress lines on stderr
 };
 
 struct MetricsOptions {
-  std::string endpoint;   // --endpoint EP (exactly one of
-  std::string cluster;    // --cluster EP,EP,...  the two targets)
+  std::string endpoint;   // --endpoint EP (required)
   std::string format = "table";  // table | json | prom
   bool delta = false;     // window since the target's previous delta scrape
-  bool per_shard = false; // cluster: append the per-endpoint breakdown
   std::string out;        // report destination (empty or "-" = stdout)
 };
 
 struct TopOptions {
-  std::string endpoint;   // --endpoint EP (exactly one of
-  std::string cluster;    // --cluster EP,EP,...  the two targets)
+  std::string endpoint;   // --endpoint EP (required)
   double interval = 2.0;  // seconds between delta scrapes
   std::uint64_t iterations = 0;  // frames to render; 0 = until interrupted
-  bool per_shard = false; // cluster: include the per-shard health table
   bool no_clear = false;  // append frames instead of redrawing the screen
 };
 
@@ -231,14 +198,9 @@ SweepOptions parse_sweep_args(const std::vector<std::string>& args);
 TraceOptions parse_trace_args(const std::vector<std::string>& args);
 ServeOptions parse_serve_args(const std::vector<std::string>& args);
 ClientOptions parse_client_args(const std::vector<std::string>& args);
-ClusterOptions parse_cluster_args(const std::vector<std::string>& args);
 LoadgenOptions parse_loadgen_args(const std::vector<std::string>& args);
 MetricsOptions parse_metrics_args(const std::vector<std::string>& args);
 TopOptions parse_top_args(const std::vector<std::string>& args);
-
-// The shard endpoints a ClusterOptions resolves to: DIR/shard-<i>.sock, or
-// 127.0.0.1:<tcp_base+i> when --tcp-base is set.
-std::vector<std::string> cluster_socket_paths(const ClusterOptions& opt);
 
 // Materializes a GraphSpec (generation or file load + validate()).
 PortGraph load_or_make_graph(const GraphSpec& spec, std::string* label = nullptr);
@@ -262,8 +224,6 @@ int serve_command(const ServeOptions& opt, std::ostream& out,
                   std::ostream& err);
 int client_command(const ClientOptions& opt, std::ostream& out,
                    std::ostream& err);
-int cluster_command(const ClusterOptions& opt, std::ostream& out,
-                    std::ostream& err);
 int loadgen_command(const LoadgenOptions& opt, std::ostream& out,
                     std::ostream& err);
 int metrics_command(const MetricsOptions& opt, std::ostream& out,

@@ -38,8 +38,8 @@ T parse_int_as(const std::string& flag, const std::string& value) {
 }
 
 // One list grammar for every subcommand (commas and/or whitespace),
-// delegated to the campaign layer so `--cluster` endpoint lists and `sweep`
-// spec lists parse identically.
+// delegated to the campaign layer so `loadgen --mix` and `sweep` spec lists
+// parse identically.
 inline std::vector<std::string> split_list(const std::string& value) {
   return runner::parse_name_list(value);
 }

@@ -1,11 +1,11 @@
 // The `dtopctl loadgen` subcommand: a latency-SLO load generator for a live
-// dtopd daemon or cluster.
+// dtopd daemon.
 //
 // The harness drives a mixed determine/verify/sweep request stream over a
 // catalog of K topology instances whose popularity is Zipf-distributed
 // (rank r drawn with probability ~ r^-s), the canonical skew of a
 // cache-fronted service: a few hot topologies dominate, a long tail keeps
-// the shards computing. The whole schedule — which op, which instance, in
+// the workers computing. The whole schedule — which op, which instance, in
 // which order — is precomputed from --seed, so a fixed-request closed-loop
 // run issues a byte-reproducible request stream: the requests / errors /
 // cache_reuse columns of the report are then exact invariants (CI diffs
@@ -25,8 +25,8 @@
 // Verify requests need a correct map for their instance; the harness runs
 // the protocol locally once per catalog entry at startup (instances are
 // small) and embeds the serialized map, which also keeps verify traffic
-// read-only on the server. Determine requests set include_map false — the
-// replication path then has to fetch the map via cache_get, exercising it.
+// read-only on the server. Determine requests set include_map false, so a
+// response carries the cache outcome but not the map text.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -47,7 +47,6 @@
 #include "graph/families.hpp"
 #include "obs/histogram.hpp"
 #include "runner/emit.hpp"
-#include "service/dispatcher.hpp"
 #include "service/job_queue.hpp"
 #include "service/json.hpp"
 #include "service/server.hpp"
@@ -225,17 +224,15 @@ std::vector<Slot> build_schedule(const LoadgenOptions& opt,
   return schedule;
 }
 
-// One worker's transport: a shared dispatcher (cluster mode, thread-safe
-// and pipelined) or a private ClientChannel (single-endpoint mode).
+// One worker's transport: a private ClientChannel, reopened after a
+// failure.
 class Target {
  public:
-  Target(service::Dispatcher* dispatcher, const std::string& endpoint)
-      : dispatcher_(dispatcher), endpoint_(endpoint) {
-    if (!dispatcher_) connect();
+  explicit Target(const std::string& endpoint) : endpoint_(endpoint) {
+    connect();
   }
 
   std::string roundtrip(const std::string& line) {
-    if (dispatcher_) return dispatcher_->call(line);
     if (!channel_) connect();  // one reconnect attempt per failure
     try {
       channel_->send(line);
@@ -253,7 +250,6 @@ class Target {
     channel_ = std::make_unique<service::ClientChannel>(endpoint_);
   }
 
-  service::Dispatcher* dispatcher_;
   std::string endpoint_;
   std::unique_ptr<service::ClientChannel> channel_;
 };
@@ -359,9 +355,7 @@ LoadgenOptions parse_loadgen_args(const std::vector<std::string>& args) {
   FlagWalker w(args);
   while (w.next()) {
     const std::string& f = w.flag();
-    if (f == "--cluster") {
-      opt.cluster = w.value();
-    } else if (f == "--endpoint") {
+    if (f == "--endpoint") {
       opt.endpoint = w.value();
     } else if (f == "--concurrency") {
       opt.concurrency = parse_int_as<int>(f, w.value());
@@ -387,9 +381,6 @@ LoadgenOptions parse_loadgen_args(const std::vector<std::string>& args) {
       (void)parse_mix(opt.mix);  // validate now, not mid-run
     } else if (f == "--seed") {
       opt.seed = parse_u64(f, w.value());
-    } else if (f == "--replicas") {
-      opt.replicas = parse_int_as<int>(f, w.value());
-      if (opt.replicas < 0) throw UsageError("--replicas must be >= 0");
     } else if (f == "--out") {
       opt.out = w.value();
     } else if (f == "--bench-json") {
@@ -400,10 +391,7 @@ LoadgenOptions parse_loadgen_args(const std::vector<std::string>& args) {
       throw UsageError("unknown flag '" + f + "' for 'loadgen'");
     }
   }
-  if (opt.cluster.empty() == opt.endpoint.empty()) {
-    throw UsageError(
-        "'loadgen' needs exactly one of --endpoint EP or --cluster EPS");
-  }
+  if (opt.endpoint.empty()) throw UsageError("'loadgen' needs --endpoint EP");
   return opt;
 }
 
@@ -417,18 +405,14 @@ int loadgen_command(const LoadgenOptions& opt, std::ostream& out,
   const std::vector<CatalogEntry> catalog = build_catalog(opt);
   const std::vector<Slot> schedule = build_schedule(opt, tables);
 
-  std::unique_ptr<service::Dispatcher> dispatcher;
-  if (!opt.cluster.empty()) {
-    service::DispatcherOptions dopt;
-    dopt.sockets = split_list(opt.cluster);
-    if (dopt.sockets.empty()) throw UsageError("--cluster list is empty");
-    dopt.replicas = opt.replicas;
-    dispatcher = std::make_unique<service::Dispatcher>(dopt);
-  }
-
   const int workers = opt.concurrency;
   std::vector<std::vector<OpStats>> per_worker(
       static_cast<std::size_t>(workers), std::vector<OpStats>(kOpCount));
+
+  // Connected here, not on the worker threads, so an unreachable endpoint
+  // is one clean error (exit 1) before any request is timed.
+  std::vector<Target> targets;
+  for (int wi = 0; wi < workers; ++wi) targets.emplace_back(opt.endpoint);
 
   const Clock::time_point start = Clock::now();
   const Clock::time_point deadline =
@@ -443,7 +427,7 @@ int loadgen_command(const LoadgenOptions& opt, std::ostream& out,
     std::atomic<std::uint64_t> next{0};
     for (int wi = 0; wi < workers; ++wi) {
       threads.emplace_back([&, wi] {
-        Target target(dispatcher.get(), opt.endpoint);
+        Target& target = targets[static_cast<std::size_t>(wi)];
         OpStats* stats = per_worker[static_cast<std::size_t>(wi)].data();
         for (;;) {
           const std::uint64_t i = next.fetch_add(1);
@@ -461,7 +445,7 @@ int loadgen_command(const LoadgenOptions& opt, std::ostream& out,
     service::JobQueue<Arrival> queue;
     for (int wi = 0; wi < workers; ++wi) {
       threads.emplace_back([&, wi] {
-        Target target(dispatcher.get(), opt.endpoint);
+        Target& target = targets[static_cast<std::size_t>(wi)];
         OpStats* stats = per_worker[static_cast<std::size_t>(wi)].data();
         while (std::optional<Arrival> a = queue.pop()) {
           const Slot& slot = schedule[a->index % schedule.size()];
@@ -482,10 +466,6 @@ int loadgen_command(const LoadgenOptions& opt, std::ostream& out,
     for (std::thread& t : threads) t.join();
   }
 
-  // Replication copies are asynchronous; settle them before reporting so a
-  // caller that kills a shard right after loadgen finds the replicas in
-  // place (the CI failover check does exactly that).
-  if (dispatcher) dispatcher->drain_replication();
   const std::chrono::duration<double> wall = Clock::now() - start;
 
   // Merge the worker-local stats into the per-op and total rows.

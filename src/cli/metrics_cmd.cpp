@@ -6,13 +6,9 @@
 // live view: it primes the target's delta baseline with one throwaway
 // scrape, then renders a frame per interval from `"delta": true` windows —
 // throughput and per-op latency quantiles, cache hit rate over the window,
-// engine tick-phase timings, and (against a cluster, with --per-shard) a
-// per-endpoint health table. Both commands speak through either a direct
-// ClientChannel or the consistent-hash Dispatcher, whose `metrics` fan-out
-// keeps the response single-daemon-shaped.
+// and engine tick-phase timings.
 #include <chrono>
 #include <cstdlib>
-#include <memory>
 #include <thread>
 
 #include "cli/cli.hpp"
@@ -20,7 +16,6 @@
 #include "cli/flags.hpp"
 #include "obs/expose.hpp"
 #include "obs/registry.hpp"
-#include "service/dispatcher.hpp"
 #include "service/json.hpp"
 #include "service/metrics_wire.hpp"
 #include "service/server.hpp"
@@ -41,73 +36,15 @@ double parse_interval(const std::string& flag, const std::string& value) {
   return v;
 }
 
-// One scrape closure over either transport, mirroring client_command.
-class MetricsClient {
- public:
-  MetricsClient(const std::string& endpoint, const std::string& cluster) {
-    if (!cluster.empty()) {
-      service::DispatcherOptions dopt;
-      dopt.sockets = split_list(cluster);
-      if (dopt.sockets.empty()) throw UsageError("--cluster list is empty");
-      dispatcher_ = std::make_unique<service::Dispatcher>(dopt);
-    } else {
-      channel_ = std::make_unique<service::ClientChannel>(endpoint);
-    }
-  }
-
-  std::string scrape(bool delta, bool per_shard) {
-    service::JsonWriter w;
-    w.field("op", "metrics");
-    if (delta) w.field("delta", true);
-    if (per_shard) w.field("per_shard", true);
-    const std::string line = w.str();
-    if (dispatcher_) return dispatcher_->call(line);
-    channel_->send(line);
-    const std::optional<std::string> resp = channel_->recv();
-    if (!resp) throw Error("server closed the connection mid-scrape");
-    return *resp;
-  }
-
- private:
-  std::unique_ptr<service::ClientChannel> channel_;
-  std::unique_ptr<service::Dispatcher> dispatcher_;
-};
-
-// The per-endpoint objects of a `"shards": [...]` breakdown. Each element
-// is itself a nested response fragment, so it is lifted with the same
-// balanced-brace scan the response splicing uses, not the flat parser.
-std::vector<std::string> shard_objects(const std::string& line) {
-  std::vector<std::string> out;
-  const std::string marker = "\"shards\": [";
-  const std::size_t at = line.find(marker);
-  if (at == std::string::npos) return out;
-  std::size_t pos = at + marker.size();
-  while (pos < line.size() && line[pos] != ']') {
-    if (line[pos] == '{') {
-      std::string obj = service::balanced_object(line, pos);
-      pos += obj.size();
-      out.push_back(std::move(obj));
-    } else {
-      ++pos;
-    }
-  }
-  return out;
-}
-
-// The "endpoint" string of one shard object. Endpoint paths are socket
-// paths or host:port strings; neither contains an escape, so the closing
-// quote scan is exact.
-std::string shard_endpoint(const std::string& obj) {
-  const std::string marker = "\"endpoint\": \"";
-  const std::size_t at = obj.find(marker);
-  if (at == std::string::npos) return "?";
-  const std::size_t start = at + marker.size();
-  const std::size_t end = obj.find('"', start);
-  return end == std::string::npos ? "?" : obj.substr(start, end - start);
-}
-
-bool shard_up(const std::string& obj) {
-  return obj.find("\"ok\": true") != std::string::npos;
+// One `metrics` request on the target connection.
+std::string scrape(service::ClientChannel& channel, bool delta) {
+  service::JsonWriter w;
+  w.field("op", "metrics");
+  if (delta) w.field("delta", true);
+  channel.send(w.str());
+  const std::optional<std::string> resp = channel.recv();
+  if (!resp) throw Error("server closed the connection mid-scrape");
+  return *resp;
 }
 
 void histogram_row(Table& t, const std::string& name, const obs::Histogram& h) {
@@ -144,34 +81,10 @@ void render_tables(const obs::Snapshot& s, bool delta, std::ostream& os) {
   hists.print(os);
 }
 
-void render_shard_table(const std::string& resp, std::ostream& os) {
-  const std::vector<std::string> shards = shard_objects(resp);
-  if (shards.empty()) return;
-  os << "\n";
-  Table t({"endpoint", "up", "requests", "errors", "cache_hits"});
-  t.set_caption("per-shard breakdown");
-  for (const std::string& obj : shards) {
-    if (!shard_up(obj)) {
-      t.row().cell(shard_endpoint(obj)).cell("down").cell("-").cell("-").cell(
-          "-");
-      continue;
-    }
-    const obs::Snapshot s = service::parse_snapshot_response(obj);
-    t.row()
-        .cell(shard_endpoint(obj))
-        .cell("yes")
-        .cell(s.counter_or("service_requests_total"))
-        .cell(s.counter_or("service_errors_served_total"))
-        .cell(s.counter_or("cache_hits_total"));
-  }
-  t.print(os);
-}
-
 // One `top` frame from a delta snapshot. Rates divide the window's counter
 // deltas by the actual elapsed seconds, not the requested interval.
-void render_frame(const obs::Snapshot& s, const std::string& resp,
-                  const std::string& target, double elapsed,
-                  std::uint64_t frame, bool per_shard, std::ostream& os) {
+void render_frame(const obs::Snapshot& s, const std::string& target,
+                  double elapsed, std::uint64_t frame, std::ostream& os) {
   const auto rate = [&](const std::string& name) {
     return static_cast<double>(s.counter_or(name)) / elapsed;
   };
@@ -233,7 +146,6 @@ void render_frame(const obs::Snapshot& s, const std::string& resp,
        << " us   imbalance p95 "
        << format_double(imb ? imb->hist.quantile(95) : 0.0, 0) << "%\n";
   }
-  if (per_shard) render_shard_table(resp, os);
   os.flush();
 }
 
@@ -252,38 +164,16 @@ bool interruptible_sleep(double seconds) {
   return true;
 }
 
-void parse_target_flags(FlagWalker& w, std::string& endpoint,
-                        std::string& cluster, bool& handled) {
-  const std::string& f = w.flag();
-  handled = true;
-  if (f == "--endpoint") {
-    endpoint = w.value();
-  } else if (f == "--cluster") {
-    cluster = w.value();
-  } else {
-    handled = false;
-  }
-}
-
-void check_target(const char* cmd, const std::string& endpoint,
-                  const std::string& cluster) {
-  if (endpoint.empty() == cluster.empty()) {
-    throw UsageError(std::string("'") + cmd +
-                     "' needs exactly one of --endpoint EP or --cluster EPS");
-  }
-}
-
 }  // namespace
 
 MetricsOptions parse_metrics_args(const std::vector<std::string>& args) {
   MetricsOptions opt;
   FlagWalker w(args);
   while (w.next()) {
-    bool handled = false;
-    parse_target_flags(w, opt.endpoint, opt.cluster, handled);
-    if (handled) continue;
     const std::string& f = w.flag();
-    if (f == "--format") {
+    if (f == "--endpoint") {
+      opt.endpoint = w.value();
+    } else if (f == "--format") {
       opt.format = w.value();
       if (opt.format != "table" && opt.format != "json" &&
           opt.format != "prom") {
@@ -291,15 +181,13 @@ MetricsOptions parse_metrics_args(const std::vector<std::string>& args) {
       }
     } else if (f == "--delta") {
       opt.delta = true;
-    } else if (f == "--per-shard") {
-      opt.per_shard = true;
     } else if (f == "--out") {
       opt.out = w.value();
     } else {
       throw UsageError("unknown flag '" + f + "' for 'metrics'");
     }
   }
-  check_target("metrics", opt.endpoint, opt.cluster);
+  if (opt.endpoint.empty()) throw UsageError("'metrics' needs --endpoint EP");
   return opt;
 }
 
@@ -307,33 +195,27 @@ TopOptions parse_top_args(const std::vector<std::string>& args) {
   TopOptions opt;
   FlagWalker w(args);
   while (w.next()) {
-    bool handled = false;
-    parse_target_flags(w, opt.endpoint, opt.cluster, handled);
-    if (handled) continue;
     const std::string& f = w.flag();
-    if (f == "--interval") {
+    if (f == "--endpoint") {
+      opt.endpoint = w.value();
+    } else if (f == "--interval") {
       opt.interval = parse_interval(f, w.value());
     } else if (f == "--iterations") {
       opt.iterations = parse_u64(f, w.value());
-    } else if (f == "--per-shard") {
-      opt.per_shard = true;
     } else if (f == "--no-clear") {
       opt.no_clear = true;
     } else {
       throw UsageError("unknown flag '" + f + "' for 'top'");
     }
   }
-  check_target("top", opt.endpoint, opt.cluster);
-  if (opt.per_shard && opt.cluster.empty()) {
-    throw UsageError("--per-shard needs --cluster");
-  }
+  if (opt.endpoint.empty()) throw UsageError("'top' needs --endpoint EP");
   return opt;
 }
 
 int metrics_command(const MetricsOptions& opt, std::ostream& out,
                     std::ostream& err) {
-  MetricsClient client(opt.endpoint, opt.cluster);
-  const std::string resp = client.scrape(opt.delta, opt.per_shard);
+  service::ClientChannel channel(opt.endpoint);
+  const std::string resp = scrape(channel, opt.delta);
   if (resp.find("\"ok\": true") == std::string::npos) {
     err << "error: metrics scrape failed: " << resp << "\n";
     return 1;
@@ -349,29 +231,26 @@ int metrics_command(const MetricsOptions& opt, std::ostream& out,
       return;
     }
     render_tables(s, opt.delta, os);
-    if (opt.per_shard) render_shard_table(resp, os);
   });
   return 0;
 }
 
 int top_command(const TopOptions& opt, std::ostream& out, std::ostream& err) {
-  MetricsClient client(opt.endpoint, opt.cluster);
-  const std::string target =
-      opt.cluster.empty() ? opt.endpoint : "cluster " + opt.cluster;
+  service::ClientChannel channel(opt.endpoint);
 
   service::SignalGuard guard;
   service::SignalGuard::reset();
 
   // Prime the delta baseline: the first delta window would otherwise span
   // the target's whole uptime and drown the live rates.
-  client.scrape(/*delta=*/true, /*per_shard=*/false);
+  scrape(channel, /*delta=*/true);
 
   using clock = std::chrono::steady_clock;
   clock::time_point mark = clock::now();
   std::uint64_t frame = 0;
   while (!guard.triggered()) {
     if (!interruptible_sleep(opt.interval)) break;
-    const std::string resp = client.scrape(/*delta=*/true, opt.per_shard);
+    const std::string resp = scrape(channel, /*delta=*/true);
     const clock::time_point now = clock::now();
     const double elapsed =
         std::chrono::duration<double>(now - mark).count();
@@ -382,7 +261,7 @@ int top_command(const TopOptions& opt, std::ostream& out, std::ostream& err) {
     }
     const obs::Snapshot s = service::parse_snapshot_response(resp);
     if (!opt.no_clear) out << "\x1b[H\x1b[2J";
-    render_frame(s, resp, target, elapsed, ++frame, opt.per_shard, out);
+    render_frame(s, opt.endpoint, elapsed, ++frame, out);
     if (opt.iterations && frame >= opt.iterations) return 0;
   }
   // An interactive top ends by Ctrl-C; exit by the repo's interrupted-

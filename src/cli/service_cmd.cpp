@@ -5,12 +5,9 @@
 // scripted line-delimited JSON session and
 // prints the response lines, exiting 0 only when every response carries
 // "ok": true (so CI can assert a whole session with one exit code).
-#include <memory>
-
 #include "cli/cli.hpp"
 #include "cli/cli_io.hpp"
 #include "cli/flags.hpp"
-#include "service/dispatcher.hpp"
 #include "service/server.hpp"
 #include "service/signals.hpp"
 
@@ -55,8 +52,6 @@ ClientOptions parse_client_args(const std::vector<std::string>& args) {
     const std::string& f = w.flag();
     if (f == "--socket") {
       opt.socket = w.value();
-    } else if (f == "--cluster") {
-      opt.cluster = w.value();
     } else if (f == "--request") {
       opt.requests.push_back(w.value());
     } else if (f == "--in") {
@@ -67,10 +62,7 @@ ClientOptions parse_client_args(const std::vector<std::string>& args) {
       throw UsageError("unknown flag '" + f + "' for 'client'");
     }
   }
-  if (opt.socket.empty() == opt.cluster.empty()) {
-    throw UsageError(
-        "'client' needs exactly one of --socket PATH or --cluster SOCKS");
-  }
+  if (opt.socket.empty()) throw UsageError("'client' needs --socket EP");
   if (opt.requests.empty() && opt.in_file.empty() && !opt.shutdown) {
     throw UsageError(
         "'client' needs at least one of --request, --in, or --shutdown");
@@ -101,30 +93,13 @@ int serve_command(const ServeOptions& opt, std::ostream& out,
 
 int client_command(const ClientOptions& opt, std::ostream& out,
                    std::ostream& err) {
-  // One roundtrip closure over either transport: a direct dtopd connection,
-  // or the consistent-hash dispatcher across a shard list (which fans
-  // `stats` and `shutdown` out to every shard and aggregates).
-  std::unique_ptr<service::ClientChannel> channel;
-  std::unique_ptr<service::Dispatcher> dispatcher;
-  if (!opt.cluster.empty()) {
-    service::DispatcherOptions dopt;
-    dopt.sockets = split_list(opt.cluster);
-    if (dopt.sockets.empty()) throw UsageError("--cluster list is empty");
-    dispatcher = std::make_unique<service::Dispatcher>(dopt);
-  } else {
-    channel = std::make_unique<service::ClientChannel>(opt.socket);
-  }
+  service::ClientChannel channel(opt.socket);
   bool all_ok = true;
   const auto roundtrip = [&](const std::string& line) {
-    std::string response;
-    if (dispatcher) {
-      response = dispatcher->call(line);
-    } else {
-      channel->send(line);
-      const std::optional<std::string> resp = channel->recv();
-      if (!resp) throw Error("server closed the connection mid-session");
-      response = *resp;
-    }
+    channel.send(line);
+    const std::optional<std::string> resp = channel.recv();
+    if (!resp) throw Error("server closed the connection mid-session");
+    const std::string& response = *resp;
     out << response << "\n";
     // Responses are JsonWriter output, so the success marker has exactly
     // this spelling; a full JSON parse would reject the nested stats

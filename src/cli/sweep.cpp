@@ -2,7 +2,6 @@
 // file), execute it through the src/runner subsystem, stream per-job
 // progress to stderr, and emit the results as a table, JSON, or CSV.
 #include <limits>
-#include <memory>
 #include <sstream>
 
 #include "cli/cli.hpp"
@@ -10,7 +9,6 @@
 #include "cli/flags.hpp"
 #include "runner/emit.hpp"
 #include "runner/runner.hpp"
-#include "service/dispatcher.hpp"
 #include "service/signals.hpp"
 #include "support/table.hpp"
 
@@ -111,8 +109,6 @@ SweepOptions parse_sweep_args(const std::vector<std::string>& args) {
       opt.quiet = true;
     } else if (f == "--trace-dir") {
       opt.trace_dir = w.value();
-    } else if (f == "--cluster") {
-      opt.cluster = w.value();
     } else {
       throw UsageError("unknown flag '" + f + "' for 'sweep'");
     }
@@ -178,22 +174,6 @@ int sweep_command(const SweepOptions& opt, std::ostream& out,
   ropt.threads = opt.threads;
   ropt.trace_dir = opt.trace_dir;
 
-  // --cluster: the same campaign, executed remotely. Each job travels as a
-  // single-job sweep request routed by the canonical hash of its own
-  // network, so repeated topologies land on the shard that already solved
-  // them; the exit-code, interrupt-drain, and trace-capture contracts are
-  // untouched because only the executor changes.
-  std::unique_ptr<service::Dispatcher> dispatcher;
-  if (!opt.cluster.empty()) {
-    service::DispatcherOptions dopt;
-    dopt.sockets = split_list(opt.cluster);
-    if (dopt.sockets.empty()) throw UsageError("--cluster list is empty");
-    dispatcher = std::make_unique<service::Dispatcher>(dopt);
-    ropt.execute = [&dispatcher](const runner::JobSpec& job,
-                                 const std::string& trace_dir) {
-      return service::remote_run_job(*dispatcher, job, trace_dir);
-    };
-  }
   if (!opt.quiet) {
     ropt.progress = [&err](const runner::JobResult& r, std::size_t done,
                            std::size_t total) {

@@ -3,8 +3,8 @@
 //   - Line-JSON fragments: three flat objects (counters, gauges,
 //     histograms) for the dtopd `metrics` response. Flat by protocol law —
 //     the dtopd parser rejects nested containers, so the response splices
-//     these via JsonWriter::field_raw and a reader lifts them back out the
-//     way the dispatcher lifts `stats` sub-objects. Histogram values are
+//     these via JsonWriter::field_raw and a reader lifts them back out
+//     with service::extract_object. Histogram values are
 //     Histogram::encode() strings (digits and '|:,' only — no escaping
 //     needed, but the emitter escapes anyway on principle).
 //

@@ -1,6 +1,6 @@
 // Log-linear-bucket histogram: the repo's one approximate-quantile type,
-// shared by the metrics registry (sharded atomic recording), the loadgen
-// latency report, and the dispatcher's cross-shard aggregation.
+// shared by the metrics registry (sharded atomic recording) and the loadgen
+// latency report.
 //
 // Bucket layout (HdrHistogram-shaped): values below 2^(kSubBits+1) land in
 // exact unit-width buckets; above that, each power-of-two octave is split
@@ -13,10 +13,10 @@
 // and keeps the dense bucket array at 896 words.
 //
 // Everything here is a plain value type: record into it single-threaded,
-// merge() shards or shard responses together, subtract() a baseline for a
-// delta window, encode()/decode() for the wire. The concurrent recording
-// form lives in registry.hpp (ShardedHistogram), which merges into this
-// type at snapshot time.
+// merge() registry shards or worker-local recordings together, subtract() a
+// baseline for a delta window, encode()/decode() for the wire. The
+// concurrent recording form lives in registry.hpp (ShardedHistogram), which
+// merges into this type at snapshot time.
 #pragma once
 
 #include <bit>

@@ -88,20 +88,6 @@ std::uint64_t Snapshot::counter_or(const std::string& name,
   return c ? c->value : fallback;
 }
 
-void Snapshot::merge(const Snapshot& other) {
-  for (const CounterValue& c : other.counters) add_counter(c.name, c.value);
-  for (const GaugeValue& g : other.gauges) {
-    if (auto* mine = find_by_name(gauges, g.name)) {
-      mine->value += g.value;  // gauges sum across shards (sizes, depths)
-    } else {
-      gauges.push_back(g);
-    }
-  }
-  for (const HistogramValue& h : other.histograms) {
-    merge_histogram(h.name, h.hist);
-  }
-}
-
 Snapshot Snapshot::delta_since(const Snapshot& prev) const {
   Snapshot out;
   for (const CounterValue& c : counters) {

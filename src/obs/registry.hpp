@@ -13,7 +13,6 @@
 // at snapshot time, where shards are summed into plain values.
 //
 // Snapshots are plain data (obs/histogram.hpp values + name/value pairs),
-// mergeable across processes (the dispatcher sums shard snapshots) and
 // subtractable for delta windows. Exposition lives in obs/expose.hpp.
 #pragma once
 
@@ -106,7 +105,7 @@ class ShardedHistogram {
   Shard shards_[kShards];
 };
 
-// One merged view of a registry (or of several, summed): counters and
+// One merged view of a registry: counters and
 // gauges as name/value pairs, histograms as full obs::Histogram values.
 // Entries stay sorted by name (the registry's map order), so two snapshots
 // of the same schema align index-wise and renderings are deterministic.
@@ -137,10 +136,6 @@ struct Snapshot {
   const HistogramValue* find_histogram(const std::string& name) const;
   std::uint64_t counter_or(const std::string& name,
                            std::uint64_t fallback = 0) const;
-
-  // Sums `other` into this snapshot (cluster aggregation): counters and
-  // gauges add, histograms merge, names absent on one side are kept.
-  void merge(const Snapshot& other);
 
   // The delta window [prev, this]: counters and histograms subtract
   // (requiring monotonicity), gauges keep their current values. Names in

@@ -187,10 +187,8 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= jobs.size()) return;
       // Never throws: failures land in the result.
-      out.jobs[i] = opt.execute
-                        ? opt.execute(jobs[i], opt.trace_dir)
-                        : run_job(jobs[i], opt.trace_dir, arena, opt.metrics,
-                                  opt.metrics_shard_base + t);
+      out.jobs[i] = run_job(jobs[i], opt.trace_dir, arena, opt.metrics,
+                            opt.metrics_shard_base + t);
       if (opt.progress) {
         std::lock_guard<std::mutex> lock(mu);
         opt.progress(out.jobs[i], ++done, jobs.size());

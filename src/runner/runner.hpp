@@ -79,12 +79,6 @@ struct RunnerOptions {
   // every worker before claiming the next job. In-flight jobs drain, the
   // completed prefix is returned, CampaignResult::interrupted is set.
   const std::atomic<bool>* cancel = nullptr;
-  // Pluggable job executor (the cluster dispatcher backend of
-  // `dtopctl sweep --cluster`): when set, every job runs through it instead
-  // of run_job, with the same contract — never throw, land every failure in
-  // the returned result. The trace_dir above is passed through.
-  std::function<JobResult(const JobSpec&, const std::string& trace_dir)>
-      execute;
   // Observability hook forwarded into every job's engine (strictly passive;
   // see obs/engine_metrics.hpp — campaign output is byte-identical with or
   // without it). Worker t records under shard `metrics_shard_base + t`, so

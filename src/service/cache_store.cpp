@@ -22,7 +22,7 @@ constexpr std::size_t kHeaderSize = sizeof(kCacheStoreMagic) + 4;
 constexpr std::uint32_t kMaxPayload = 256u * 1024u * 1024u;
 
 // Integers travel little-endian, fixed width (support/bytes.hpp): the store
-// is a per-shard local file, but a byte-stable format costs nothing and
+// is a per-daemon local file, but a byte-stable format costs nothing and
 // keeps the robustness tests' hand-built fixtures portable. A string is a
 // u64 length and its bytes.
 void put_str(std::string& out, const std::string& s) {

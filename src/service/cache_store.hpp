@@ -1,9 +1,8 @@
 // The dtopd persistent cache tier: an append-only record store for
 // completed determinations, keyed exactly like the in-memory ResultCache
-// (rooted canonical-form hash + engine-config label). A restarted shard
+// (rooted canonical-form hash + engine-config label). A restarted daemon
 // replays the file into its LRU and answers its first repeat request from
-// the warm cache; replicated entries pushed by the dispatcher land in the
-// same file, so a shard also keeps the answers it inherited.
+// the warm cache.
 //
 // Durability posture: the store must survive a SIGKILL mid-append without
 // ever poisoning a restart. Each record is framed as

@@ -1,16 +1,12 @@
 // Endpoint addressing for dtopd: one string grammar covering both
-// transports, shared by the server, the client channel, the dispatcher,
-// and the cluster supervisor so every layer resolves an address the same
-// way.
+// transports, shared by the server and the client channel so both resolve
+// an address the same way.
 //
 //   "host:port"         TCP (no '/', trailing ":<digits>"): "127.0.0.1:7421"
 //   anything else       AF_UNIX socket path: "/tmp/dtopd.sock", "./d.sock"
 //
 // The grammar is unambiguous in practice because AF_UNIX paths that matter
-// contain a '/' (a bare relative name like "d.sock" has no ':' either), and
-// it keeps --cluster lists free to mix transports: the consistent-hash ring
-// hashes the endpoint *string*, so an endpoint keeps its ring position for
-// the lifetime of its address, TCP or not.
+// contain a '/' (a bare relative name like "d.sock" has no ':' either).
 #pragma once
 
 #include <cstdint>

@@ -141,6 +141,30 @@ class Cursor {
   throw JsonError("field \"" + key + "\" must be a " + want);
 }
 
+// The balanced {...} starting at `open` (which must index a '{'), skipping
+// braces inside string literals.
+std::string balanced_object(const std::string& s, std::size_t open) {
+  DTOP_REQUIRE(open < s.size() && s[open] == '{',
+               "malformed response: expected '{'");
+  int depth = 0;
+  bool in_string = false;
+  for (std::size_t i = open; i < s.size(); ++i) {
+    const char c = s[i];
+    if (in_string) {
+      if (c == '\\') {
+        ++i;
+      } else if (c == '"') {
+        in_string = false;
+      }
+      continue;
+    }
+    if (c == '"') in_string = true;
+    else if (c == '{') ++depth;
+    else if (c == '}' && --depth == 0) return s.substr(open, i - open + 1);
+  }
+  throw Error("malformed response: unbalanced object");
+}
+
 }  // namespace
 
 const JsonValue* JsonObject::find(const std::string& key) const {
@@ -249,28 +273,6 @@ JsonObject parse_json_object(const std::string& line) {
   c.skip_ws();
   if (!c.done()) c.fail("trailing characters after object");
   return obj;
-}
-
-std::string balanced_object(const std::string& s, std::size_t open) {
-  DTOP_REQUIRE(open < s.size() && s[open] == '{',
-               "malformed response: expected '{'");
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t i = open; i < s.size(); ++i) {
-    const char c = s[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') in_string = true;
-    else if (c == '{') ++depth;
-    else if (c == '}' && --depth == 0) return s.substr(open, i - open + 1);
-  }
-  throw Error("malformed response: unbalanced object");
 }
 
 std::string extract_object(const std::string& line, const std::string& key) {

@@ -74,14 +74,11 @@ class JsonObject {
 // containers, duplicate keys, or trailing garbage.
 JsonObject parse_json_object(const std::string& line);
 
-// Response-side helpers for the nested sub-objects daemons splice into a
+// Response-side helper for the nested sub-objects a daemon splices into a
 // line via JsonWriter::field_raw (which the flat request parser deliberately
-// rejects). `balanced_object` returns the balanced {...} starting at `open`
-// (which must index a '{'), skipping braces inside string literals;
-// `extract_object` returns the object value of `key` inside a response line,
-// or "" when the key is absent. Shared by the dispatcher's fan-out
-// aggregation and the metrics wire layer.
-std::string balanced_object(const std::string& s, std::size_t open);
+// rejects): the balanced object value of `key` inside a response line
+// (braces inside string literals skipped), or "" when the key is absent.
+// Used by the metrics wire layer.
 std::string extract_object(const std::string& line, const std::string& key);
 
 // Builds a single-line JSON object, fields in call order. Keys and string

@@ -8,10 +8,8 @@
 //    "histograms": {"service_determine_us": "<Histogram::encode()>", ...}}
 //
 // The nested objects are spliced in with JsonWriter::field_raw (the flat
-// request parser rejects nesting) and lifted back out with extract_object,
-// exactly the way the dispatcher handles `stats` sub-objects. Three
-// consumers share this translation: the Service rendering its registry, the
-// Dispatcher merging per-shard responses back into the single-daemon shape,
+// request parser rejects nesting) and lifted back out with extract_object.
+// Two consumers share this translation: the Service rendering its registry,
 // and dtopctl parsing a response for table/Prometheus rendering.
 #pragma once
 

@@ -42,13 +42,6 @@ std::shared_ptr<const CachedMap> ResultCache::lookup(const CacheKey& key) {
   return it->second->second;
 }
 
-std::shared_ptr<const CachedMap> ResultCache::peek(const CacheKey& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) return nullptr;
-  return it->second->second;
-}
-
 bool ResultCache::put(const CacheKey& key, const CachedMap& value) {
   // Built before the lock: the copy is the only part that scales with the
   // map, and no other caller needs to wait for it.

@@ -113,16 +113,10 @@ class ResultCache {
   // recency when found; null otherwise, and nothing is counted).
   std::shared_ptr<const CachedMap> lookup(const CacheKey& key);
 
-  // Stats-neutral lookup: touches no counter and no LRU recency. The
-  // replication path reads entries through this so pushing a copy to a ring
-  // successor never distorts the hit/miss numbers tests and CI assert.
-  std::shared_ptr<const CachedMap> peek(const CacheKey& key) const;
-
   // Inserts a completed determination without computing it — the
-  // warm-start replay of a persistent store and the `cache_put` replication
-  // op. Returns true when the key was absent (counted as an insert); an
-  // existing entry is refreshed, not duplicated (runs are deterministic, so
-  // the values are identical).
+  // warm-start replay of a persistent store. Returns true when the key was
+  // absent (counted as an insert); an existing entry is refreshed, not
+  // duplicated (runs are deterministic, so the values are identical).
   bool put(const CacheKey& key, const CachedMap& value);
 
   CacheStats stats() const;

@@ -44,26 +44,6 @@ std::string hash_hex(std::uint64_t h) {
   return out;
 }
 
-// The inverse of hash_hex: exactly 16 lowercase hex digits, as emitted in
-// every determine response's "key" field.
-std::uint64_t parse_hash_hex(const std::string& hex) {
-  if (hex.size() != 16) {
-    throw JsonError("\"key\" must be 16 hex digits, got \"" + hex + "\"");
-  }
-  std::uint64_t h = 0;
-  for (const char c : hex) {
-    h <<= 4;
-    if (c >= '0' && c <= '9') {
-      h |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      h |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      throw JsonError("\"key\" must be 16 hex digits, got \"" + hex + "\"");
-    }
-  }
-  return h;
-}
-
 // The success response of a determine. The worker path and the hits
 // answered at submit both write it, so a hit has the same bytes either way.
 std::string determine_response(const std::string& id, std::string_view outcome,
@@ -417,7 +397,7 @@ void Service::lookup_done(std::uint64_t ticket) {
 std::string Service::handle_line(const Job& job, int worker) {
   // One line = one request: counted on entry so a sequential scrape always
   // sees requests_total == sum of the per-op served counters + rejected
-  // (an invariant CI asserts against a live cluster). Latency is recorded
+  // (an invariant CI asserts against a live daemon). Latency is recorded
   // into the matched op's histogram on every exit path, including handler
   // failures — an error response took time too.
   const auto t0 = std::chrono::steady_clock::now();
@@ -445,24 +425,16 @@ std::string Service::handle_line(const Job& job, int worker) {
       op_idx = 2;
       served_.sweep.fetch_add(1, std::memory_order_relaxed);
       resp = handle_sweep(req, id, job.ticket, worker);
-    } else if (op == "cache_get") {
-      op_idx = 3;
-      served_.cache_get.fetch_add(1, std::memory_order_relaxed);
-      resp = handle_cache_get(req, id);
-    } else if (op == "cache_put") {
-      op_idx = 4;
-      served_.cache_put.fetch_add(1, std::memory_order_relaxed);
-      resp = handle_cache_put(req, id);
     } else if (op == "stats") {
-      op_idx = 5;
+      op_idx = 3;
       served_.stats.fetch_add(1, std::memory_order_relaxed);
       resp = handle_stats(req, id);
     } else if (op == "metrics") {
-      op_idx = 6;
+      op_idx = 4;
       served_.metrics.fetch_add(1, std::memory_order_relaxed);
       resp = handle_metrics(req, id);
     } else if (op == "shutdown") {
-      op_idx = 7;
+      op_idx = 5;
       served_.shutdown.fetch_add(1, std::memory_order_relaxed);
       shutdown_.store(true, std::memory_order_release);
       JsonWriter w;
@@ -471,8 +443,7 @@ std::string Service::handle_line(const Job& job, int worker) {
     } else {
       throw JsonError(
           "unknown op \"" + op +
-          "\" (known: determine verify sweep cache_get cache_put stats "
-          "metrics shutdown)");
+          "\" (known: determine verify sweep stats metrics shutdown)");
     }
   } catch (const std::exception& e) {
     if (op_idx < 0) rejected_->inc(worker);
@@ -686,64 +657,17 @@ std::string Service::handle_sweep(const JsonObject& req, const std::string& id,
       .str();
 }
 
-// Reads one completed cache entry by its response-visible identity (the
-// "key" hex + config label a determine response reports). The lookup is a
-// stats-neutral peek: the dispatcher's replication worker pulls entries
-// through this op, and a replication read must not inflate the hit
-// counters the tests and CI assert. The map always travels in the response
-// — the point of the op is to move the full record between shards.
-std::string Service::handle_cache_get(const JsonObject& req,
-                                      const std::string& id) {
-  const CacheKey key{parse_hash_hex(req.require_string("key")),
-                     req.get_string("config", "ratio3")};
-  JsonWriter w;
-  if (!id.empty()) w.field_raw("id", id);
-  w.field("op", "cache_get").field("ok", true);
-  const std::shared_ptr<const CachedMap> entry = cache_.peek(key);
-  w.field("found", entry != nullptr)
-      .field("key", hash_hex(key.graph_hash))
-      .field("config", key.config);
-  if (entry) {
-    w.field("label", entry->label)
-        .field("n", static_cast<std::uint64_t>(entry->n))
-        .field("d", static_cast<std::uint64_t>(entry->d))
-        .field("e", static_cast<std::uint64_t>(entry->e))
-        .field("ticks", static_cast<std::int64_t>(entry->ticks))
-        .field("messages", entry->messages)
-        .field("node_steps", entry->node_steps)
-        .field("map", entry->map_text);
-  }
-  return w.str();
-}
-
-// Seeds one completed determination without running the protocol: the
-// receive side of cache replication. The entry lands in the LRU *and* the
-// persistent store, so a shard restarted after inheriting answers
-// warm-starts with them too. "stored" is false when the key was already
-// present (the put refreshed recency but wrote nothing).
-std::string Service::handle_cache_put(const JsonObject& req,
-                                      const std::string& id) {
-  const CacheKey key{parse_hash_hex(req.require_string("key")),
-                     req.get_string("config", "ratio3")};
-  CachedMap value;
-  value.map_text = req.require_string("map");
-  value.label = req.get_string("label", "graph");
-  value.n = static_cast<NodeId>(req.get_u64("n", 0));
-  value.d = static_cast<std::uint32_t>(req.get_u64("d", 0));
-  value.e = static_cast<std::uint32_t>(req.get_u64("e", 0));
-  value.ticks = static_cast<Tick>(req.get_i64("ticks", 0));
-  value.messages = req.get_u64("messages", 0);
-  value.node_steps = req.get_u64("node_steps", 0);
-  const bool stored = cache_.put(key, value);
-  if (stored && store_) store_->append(key, value);
-  JsonWriter w;
-  if (!id.empty()) w.field_raw("id", id);
-  return w.field("op", "cache_put")
-      .field("ok", true)
-      .field("stored", stored)
-      .field("key", hash_hex(key.graph_hash))
-      .field("config", key.config)
-      .str();
+std::array<std::uint64_t, std::size(kStatsServedFields)>
+Service::Served::values() const {
+  const std::uint64_t v[] = {determine.load(std::memory_order_relaxed),
+                             verify.load(std::memory_order_relaxed),
+                             sweep.load(std::memory_order_relaxed),
+                             stats.load(std::memory_order_relaxed),
+                             metrics.load(std::memory_order_relaxed),
+                             shutdown.load(std::memory_order_relaxed),
+                             errors.load(std::memory_order_relaxed)};
+  static_assert(std::size(v) == std::size(kStatsServedFields));
+  return std::to_array(v);
 }
 
 std::string Service::handle_stats(const JsonObject& req,
@@ -760,17 +684,7 @@ std::string Service::handle_stats(const JsonObject& req,
       c.evictions,
       c.executions};
   static_assert(std::size(cache_values) == std::size(kStatsCacheFields));
-  const std::uint64_t served_values[] = {
-      served_.determine.load(std::memory_order_relaxed),
-      served_.verify.load(std::memory_order_relaxed),
-      served_.sweep.load(std::memory_order_relaxed),
-      served_.cache_get.load(std::memory_order_relaxed),
-      served_.cache_put.load(std::memory_order_relaxed),
-      served_.stats.load(std::memory_order_relaxed),
-      served_.metrics.load(std::memory_order_relaxed),
-      served_.shutdown.load(std::memory_order_relaxed),
-      served_.errors.load(std::memory_order_relaxed)};
-  static_assert(std::size(served_values) == std::size(kStatsServedFields));
+  const auto served_values = served_.values();
   JsonWriter cache_w;
   for (std::size_t f = 0; f < std::size(kStatsCacheFields); ++f) {
     cache_w.field(kStatsCacheFields[f], cache_values[f]);
@@ -813,17 +727,7 @@ obs::Snapshot Service::metrics_snapshot() {
     s.add_counter("store_replayed_records_total", warm_loaded_);
     s.add_counter("store_replayed_bytes_total", warm_bytes_);
   }
-  const std::uint64_t served_values[] = {
-      served_.determine.load(std::memory_order_relaxed),
-      served_.verify.load(std::memory_order_relaxed),
-      served_.sweep.load(std::memory_order_relaxed),
-      served_.cache_get.load(std::memory_order_relaxed),
-      served_.cache_put.load(std::memory_order_relaxed),
-      served_.stats.load(std::memory_order_relaxed),
-      served_.metrics.load(std::memory_order_relaxed),
-      served_.shutdown.load(std::memory_order_relaxed),
-      served_.errors.load(std::memory_order_relaxed)};
-  static_assert(std::size(served_values) == std::size(kStatsServedFields));
+  const auto served_values = served_.values();
   for (std::size_t f = 0; f < std::size(kStatsServedFields); ++f) {
     s.add_counter(
         std::string("service_") + kStatsServedFields[f] + "_served_total",

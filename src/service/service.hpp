@@ -3,8 +3,8 @@
 // A Service owns the canonical-form ResultCache, a JobQueue of raw request
 // lines, and a pump thread driving the shared support/ThreadPool: workers
 // pop requests, execute them, and fulfil the submitter's future. The
-// Unix-socket Server (server.hpp) is a thin transport in front of this
-// class; the test suite drives the same code with no socket at all.
+// Server (server.hpp, Unix socket or TCP) is a thin transport in front of
+// this class; the test suite drives the same code with no socket at all.
 //
 // Which thread answers what. submit() answers a determine on the calling
 // thread (a Server connection thread, or the caller of call()) when the
@@ -25,10 +25,6 @@
 //    "root": 0, "config": "ratio3"}          -> run (or recall) the protocol
 //   {"op": "verify", "map": "...", "family": ...}  -> check a map
 //   {"op": "sweep", "families": "torus", "sizes": "8,16", "seeds": "1..4"}
-//   {"op": "cache_get", "key": "<16 hex>", "config": "ratio3"}
-//                                            -> read one cache entry (peek)
-//   {"op": "cache_put", "key": "...", "config": ..., "map": ..., ...}
-//                                            -> seed one entry (replication)
 //   {"op": "stats"}                          -> cache + served counters
 //   {"op": "metrics"}                        -> full telemetry snapshot
 //                                               ("delta": true -> window
@@ -56,6 +52,7 @@
 // numbers must be exact (sequential sessions always are).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -82,23 +79,20 @@ namespace dtop::service {
 
 // Materializes a request's network — a named family instance or an inline
 // dtop-graph v1 text in the "graph" field (exactly one of the two) — and
-// demands strong connectivity (the paper's model does too). Shared by the
-// request handlers here and by the cluster dispatcher's shard-key
-// derivation, so both sides always see the same network for the same line.
+// demands strong connectivity (the paper's model does too).
 PortGraph request_graph(const JsonObject& req, std::string* label);
 NodeId request_root(const JsonObject& req, const PortGraph& g);
 
 // Counter schema of the stats response, in emission order — the single
-// source of truth shared by Service::handle_stats and the cluster
-// dispatcher's aggregation, which must keep exactly the single-daemon
-// shape. A new counter is added HERE plus one value in the corresponding
-// value array (both sides static_assert the sizes match).
+// source of truth shared by the stats and metrics responses and `dtopctl
+// top`. A new counter is added HERE plus one value in the corresponding
+// value array (static_asserts check the sizes match).
 inline constexpr const char* kStatsCacheFields[] = {
     "capacity", "size",    "hits",      "misses",
     "coalesced", "inserts", "evictions", "executions"};
 inline constexpr const char* kStatsServedFields[] = {
-    "determine", "verify",  "sweep",    "cache_get", "cache_put",
-    "stats",     "metrics", "shutdown", "errors"};
+    "determine", "verify",   "sweep", "stats",
+    "metrics",   "shutdown", "errors"};
 
 // The real ops (everything in kStatsServedFields except the trailing
 // "errors" tally): index order of the per-op latency histograms.
@@ -115,8 +109,8 @@ struct ServiceOptions {
   std::string trace_dir;
   // When non-empty: the append-only persistent cache tier
   // (service/cache_store.hpp). Replayed into the LRU at construction (the
-  // warm start), appended on every fresh determination and replicated
-  // cache_put. Load warnings go to *warn (std::cerr when null).
+  // warm start) and appended on every fresh determination. Load warnings
+  // go to *warn (std::cerr when null).
   std::string cache_store;
   std::ostream* warn = nullptr;
 };
@@ -172,17 +166,18 @@ class Service {
     std::promise<std::string> promise;
   };
 
-  // Per-op served counters, reported by the stats request.
+  // Per-op served counters, reported by the stats and metrics requests.
   struct Served {
     std::atomic<std::uint64_t> determine{0};
     std::atomic<std::uint64_t> verify{0};
     std::atomic<std::uint64_t> sweep{0};
-    std::atomic<std::uint64_t> cache_get{0};
-    std::atomic<std::uint64_t> cache_put{0};
     std::atomic<std::uint64_t> stats{0};
     std::atomic<std::uint64_t> metrics{0};
     std::atomic<std::uint64_t> shutdown{0};
     std::atomic<std::uint64_t> errors{0};
+
+    // The counters in kStatsServedFields order.
+    std::array<std::uint64_t, std::size(kStatsServedFields)> values() const;
   };
 
   // A family request's network identity: everything make_family and the
@@ -230,8 +225,6 @@ class Service {
   std::string handle_verify(const JsonObject& req, const std::string& id);
   std::string handle_sweep(const JsonObject& req, const std::string& id,
                            std::uint64_t ticket, int worker);
-  std::string handle_cache_get(const JsonObject& req, const std::string& id);
-  std::string handle_cache_put(const JsonObject& req, const std::string& id);
   std::string handle_stats(const JsonObject& req, const std::string& id);
   std::string handle_metrics(const JsonObject& req, const std::string& id);
 

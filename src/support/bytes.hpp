@@ -4,12 +4,12 @@
 //
 // Every on-disk and on-wire format builds on these: DTR2 trace frames and
 // their payloads (trace/container.hpp, trace/trace_io.hpp), the dtopd cache
-// store's records (service/cache_store.hpp), the rooted canonical-form hash
-// (graph/canonical.hpp) and the dispatcher's hash ring. Writers append to a
-// std::string; readers walk a ByteReader, whose every read reports failure
-// by return value (false, cursor unmoved) so each format picks its own
-// error: the trace layer throws TraceError, the cache store warns and keeps
-// the intact prefix.
+// store's records (service/cache_store.hpp) and the rooted canonical-form
+// hash (graph/canonical.hpp). Writers append to a std::string; readers
+// walk a ByteReader, whose every read reports failure by return value
+// (false, cursor unmoved) so each format picks its own error: the trace
+// layer throws TraceError, the cache store warns and keeps the intact
+// prefix.
 #pragma once
 
 #include <cstddef>

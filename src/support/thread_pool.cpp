@@ -26,12 +26,12 @@ inline void cpu_relax() {
 //
 //   Dispatch: a worker about to park does W1 = parked_++ then W2 = "is
 //   generation_ still my seen value?" (the wait predicate, evaluated under
-//   mu_). The dispatcher does D1 = generation_++ then D2 = "parked_ > 0?".
+//   mu_). The caller does D1 = generation_++ then D2 = "parked_ > 0?".
 //   If W2 misses the bump then W2 precedes D1 in the seq_cst total order,
-//   so W1 < W2 < D1 < D2 and D2 must read parked_ >= 1 — the dispatcher
+//   so W1 < W2 < D1 < D2 and D2 must read parked_ >= 1 — the caller
 //   takes mu_ (which the worker released by blocking inside wait) and
 //   notifies. There is no interleaving in which a worker blocks and the
-//   dispatcher skips the notify.
+//   caller skips the notify.
 //
 //   Join: the last worker does V1 = unfinished_-- (to zero) then V2 =
 //   "caller_parked_?"; the caller does C1 = caller_parked_ = true then

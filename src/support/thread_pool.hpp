@@ -68,7 +68,7 @@ class ThreadPool {
   // built from a capturing lambda heap-allocates — a per-tick allocation
   // the zero-alloc hot path can't afford. The callable only needs to
   // outlive the join, which it always does here. Only one run() may be in
-  // flight at a time (single dispatcher).
+  // flight at a time (single caller).
   void run(FunctionRef<void(int)> body);
 
   // Monotonic; sample twice and subtract for a per-run delta.
@@ -87,7 +87,7 @@ class ThreadPool {
   int spin_iters_ = 0;
   std::vector<std::thread> threads_;
 
-  // Hot-path barrier state, on separate cache lines so the dispatcher's
+  // Hot-path barrier state, on separate cache lines so the caller's
   // generation bump and the workers' completion decrements don't ping-pong.
   alignas(64) std::atomic<std::uint64_t> generation_{0};
   alignas(64) std::atomic<int> unfinished_{0};

@@ -210,9 +210,9 @@ TEST(CanonicalForm, OrderIsPreOrderNotBfsLevel) {
 }
 
 // Byte identity across code changes: the canonical hash is the dtopd cache
-// key and the cluster's routing key, so a refactor of the serializer or the
-// hash must leave these values alone (computed before the byte layer moved
-// to support/bytes.hpp).
+// key and the persistent cache store's record key, so a refactor of the
+// serializer or the hash must leave these values alone (computed before the
+// byte layer moved to support/bytes.hpp).
 TEST(CanonicalForm, HashIsPinned) {
   EXPECT_EQ(canonical_hash(make_family("debruijn", 16, 1).graph, 0),
             0x5b8a14561df5888bull);
@@ -372,7 +372,7 @@ TEST(Families, SatelliteRingsShape) {
   EXPECT_TRUE(is_strongly_connected(g));
 }
 
-TEST(Families, DispatcherKnowsAllNames) {
+TEST(Families, MakeFamilyKnowsAllNames) {
   for (const std::string& name : family_names()) {
     const FamilyInstance fi = make_family(name, 24, 3);
     EXPECT_EQ(fi.label, name);

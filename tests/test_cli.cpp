@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/cli.hpp"
@@ -588,10 +589,31 @@ TEST(CliMain, SweepTraceDirCapturesFailedJobs) {
   const std::size_t begin = tag + 10;
   const std::size_t end = json.find('"', begin);
   const std::string trace_path = json.substr(begin, end - begin);
+  // Named by the runner's contract: <trace_dir>/job-<index>.dtrace.
+  EXPECT_EQ(std::filesystem::path(trace_path).filename(), "job-1.dtrace");
   std::ostringstream rout, rerr;
   EXPECT_EQ(cli_main({"trace", "replay", "--trace", trace_path}, rout, rerr),
             0)
       << rerr.str();
+
+  // Jobs are pure functions of their spec: a second sweep re-captures the
+  // same path with the same bytes and emits the same JSON.
+  const auto read_bytes = [&] {
+    std::ifstream in(trace_path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+  };
+  const std::string first = read_bytes();
+  ASSERT_FALSE(first.empty());
+  std::ostringstream out2, err2;
+  EXPECT_EQ(cli_main({"sweep", "--families", "torus", "--sizes", "9",
+                      "--scenarios", "none,budget@50", "--format", "json",
+                      "--trace-dir", dir},
+                     out2, err2),
+            1);
+  EXPECT_EQ(out2.str(), json);
+  EXPECT_EQ(read_bytes(), first);
 }
 
 TEST(CliParse, TraceWarehouseFlagSets) {
@@ -927,47 +949,17 @@ TEST(CliMain, ClientAgainstDeadSocketFailsCleanly) {
       << err.str();
   EXPECT_NE(err.str().find("no_daemon_here.sock"), std::string::npos)
       << err.str();
-}
 
-// ------------------------------- cluster ----------------------------------
-
-TEST(CliParse, ClusterFullFlagSet) {
-  const ClusterOptions opt = parse_cluster_args(
-      {"--shards", "4", "--socket-dir", "/tmp/cl", "--workers", "2",
-       "--cache", "32", "--trace-dir", "traces", "--max-restarts", "9",
-       "--exe", "/bin/dtopctl", "--quiet"});
-  EXPECT_EQ(opt.shards, 4);
-  EXPECT_EQ(opt.socket_dir, "/tmp/cl");
-  EXPECT_EQ(opt.workers, 2);
-  EXPECT_EQ(opt.cache, 32u);
-  EXPECT_EQ(opt.trace_dir, "traces");
-  EXPECT_EQ(opt.max_restarts, 9);
-  EXPECT_EQ(opt.exe, "/bin/dtopctl");
-  EXPECT_TRUE(opt.quiet);
-  EXPECT_EQ(cluster_socket_paths(opt),
-            (std::vector<std::string>{"/tmp/cl/shard-0.sock",
-                                      "/tmp/cl/shard-1.sock",
-                                      "/tmp/cl/shard-2.sock",
-                                      "/tmp/cl/shard-3.sock"}));
-}
-
-TEST(CliParse, ClusterRequiresSocketDirAndSaneValues) {
-  EXPECT_THROW(parse_cluster_args({}), UsageError);
-  EXPECT_THROW(parse_cluster_args({"--socket-dir", "d", "--shards", "0"}),
-               UsageError);
-  EXPECT_THROW(parse_cluster_args({"--socket-dir", "d", "--workers", "0"}),
-               UsageError);
-  EXPECT_THROW(parse_cluster_args({"--socket-dir", "d", "--bogus"}),
-               UsageError);
-  // The integer grammar is unsigned: a negative restart budget (which
-  // would read as "never restart") is operator error, not a config.
-  EXPECT_THROW(parse_cluster_args({"--socket-dir", "d", "--max-restarts",
-                                   "-3"}),
-               UsageError);
-  const ClusterOptions opt = parse_cluster_args({"--socket-dir", "d"});
-  EXPECT_EQ(opt.shards, 2);
-  EXPECT_EQ(opt.max_restarts, 5);
-  EXPECT_TRUE(opt.exe.empty());
+  // loadgen reports the same diagnosis instead of aborting a worker.
+  std::ostringstream lout, lerr;
+  EXPECT_EQ(cli_main({"loadgen", "--endpoint",
+                      ::testing::TempDir() + "no_daemon_here.sock",
+                      "--requests", "4", "--instances", "1", "--quiet"},
+                     lout, lerr),
+            1);
+  EXPECT_NE(lerr.str().find("connection refused: is dtopd running at"),
+            std::string::npos)
+      << lerr.str();
 }
 
 TEST(CliParse, ServeListenAndCacheStore) {
@@ -981,29 +973,13 @@ TEST(CliParse, ServeListenAndCacheStore) {
                UsageError);
 }
 
-TEST(CliParse, ClusterTcpBaseAndCacheDir) {
-  const ClusterOptions opt = parse_cluster_args(
-      {"--shards", "3", "--tcp-base", "39000", "--cache-dir", "stores"});
-  EXPECT_EQ(opt.tcp_base, 39000);
-  EXPECT_EQ(opt.cache_dir, "stores");
-  // Shard endpoints become consecutive loopback ports, in shard order.
-  EXPECT_EQ(cluster_socket_paths(opt),
-            (std::vector<std::string>{"127.0.0.1:39000", "127.0.0.1:39001",
-                                      "127.0.0.1:39002"}));
-  EXPECT_THROW(parse_cluster_args({"--tcp-base", "0"}), UsageError);
-  EXPECT_THROW(parse_cluster_args({"--tcp-base", "70000"}), UsageError);
-  // The whole shard range must fit inside the port space.
-  EXPECT_THROW(parse_cluster_args({"--shards", "4", "--tcp-base", "65534"}),
-               UsageError);
-}
-
 TEST(CliParse, LoadgenFullFlagSetAndValidation) {
   const LoadgenOptions opt = parse_loadgen_args(
-      {"--cluster", "127.0.0.1:9001,127.0.0.1:9002", "--concurrency", "8",
-       "--rate", "250", "--requests", "1000", "--duration", "2.5", "--zipf",
-       "0.9", "--instances", "24", "--mix", "determine=4,verify=1", "--seed",
-       "7", "--replicas", "2", "--bench-json", "bench_out", "--quiet"});
-  EXPECT_EQ(opt.cluster, "127.0.0.1:9001,127.0.0.1:9002");
+      {"--endpoint", "127.0.0.1:9001", "--concurrency", "8", "--rate", "250",
+       "--requests", "1000", "--duration", "2.5", "--zipf", "0.9",
+       "--instances", "24", "--mix", "determine=4,verify=1", "--seed", "7",
+       "--bench-json", "bench_out", "--quiet"});
+  EXPECT_EQ(opt.endpoint, "127.0.0.1:9001");
   EXPECT_EQ(opt.concurrency, 8);
   EXPECT_EQ(opt.rate, 250.0);
   EXPECT_EQ(opt.requests, 1000u);
@@ -1012,13 +988,10 @@ TEST(CliParse, LoadgenFullFlagSetAndValidation) {
   EXPECT_EQ(opt.instances, 24);
   EXPECT_EQ(opt.mix, "determine=4,verify=1");
   EXPECT_EQ(opt.seed, 7u);
-  EXPECT_EQ(opt.replicas, 2);
   EXPECT_EQ(opt.bench_json, "bench_out");
   EXPECT_TRUE(opt.quiet);
 
   EXPECT_THROW(parse_loadgen_args({}), UsageError);  // needs a target
-  EXPECT_THROW(parse_loadgen_args({"--endpoint", "e", "--cluster", "a,b"}),
-               UsageError);
   EXPECT_THROW(parse_loadgen_args({"--endpoint", "e", "--concurrency", "0"}),
                UsageError);
   // Bad numbers are UsageErrors (exit 2), never raw std exceptions.
@@ -1030,23 +1003,6 @@ TEST(CliParse, LoadgenFullFlagSetAndValidation) {
                UsageError);
   EXPECT_THROW(parse_loadgen_args({"--endpoint", "e", "--instances", "49"}),
                UsageError);
-}
-
-TEST(CliParse, ClientClusterAndSocketAreMutuallyExclusive) {
-  const ClientOptions opt = parse_client_args(
-      {"--cluster", "a.sock,b.sock", "--request", "{}"});
-  EXPECT_EQ(opt.cluster, "a.sock,b.sock");
-  EXPECT_THROW(parse_client_args({"--socket", "s", "--cluster", "a,b",
-                                  "--request", "{}"}),
-               UsageError);
-  EXPECT_THROW(parse_client_args({"--request", "{}"}), UsageError);
-}
-
-TEST(CliParse, SweepClusterFlag) {
-  const SweepOptions opt = parse_sweep_args(
-      {"--families", "torus", "--cluster", "a.sock,b.sock"});
-  EXPECT_EQ(opt.cluster, "a.sock,b.sock");
-  EXPECT_TRUE(parse_sweep_args({"--families", "torus"}).cluster.empty());
 }
 
 TEST(CliParse, GenPermuteFlag) {
@@ -1068,36 +1024,50 @@ TEST(CliMain, GenPermuteEmitsARootedIsomorphicRelabelling) {
                      perm_out, err),
             0);
   // A genuine relabelling: different bytes, same rooted canonical form —
-  // so the dtopd cache (and the cluster shard) treat them as one network.
+  // so the dtopd cache treats them as one network.
   EXPECT_NE(plain_out.str(), perm_out.str());
   const PortGraph a = graph_from_string(plain_out.str());
   const PortGraph b = graph_from_string(perm_out.str());
   EXPECT_EQ(canonical_hash(a, 0), canonical_hash(b, 0));
 }
 
-TEST(CliMain, UsageMentionsClusterEverywhere) {
-  EXPECT_NE(usage_text().find("dtopctl cluster"), std::string::npos);
-  EXPECT_NE(usage_text().find("--cluster"), std::string::npos);
-  EXPECT_NE(usage_text().find("--permute"), std::string::npos);
-  std::ostringstream out, err;
-  EXPECT_EQ(cli_main({"cluster"}, out, err), 2);  // missing --socket-dir
-  EXPECT_NE(err.str().find("--socket-dir"), std::string::npos);
-}
-
-TEST(CliMain, SweepClusterAgainstDeadShardsRecordsViolations) {
-  // Every job fails over until the ring is exhausted, lands as a violation
-  // row, and the command exits 1 — the campaign never aborts or hangs.
-  std::ostringstream out, err;
-  const int rc = cli_main(
-      {"sweep", "--families", "torus", "--sizes", "9", "--quiet",
-       "--format", "json", "--cluster",
-       ::testing::TempDir() + "no_shard_a.sock," + ::testing::TempDir() +
-           "no_shard_b.sock"},
-      out, err);
-  EXPECT_EQ(rc, 1);
-  EXPECT_NE(out.str().find("\"status\": \"violation\""), std::string::npos)
-      << out.str();
-  EXPECT_NE(out.str().find("no cluster shard reachable"), std::string::npos);
+TEST(CliMain, ClusterSurfaceIsGone) {
+  // One daemon serves more requests than a one-host cluster with the same
+  // workers (EXPERIMENTS.md), so the subcommand and its flags are gone.
+  {
+    std::ostringstream out, err;
+    EXPECT_EQ(cli_main({"cluster", "--shards", "2"}, out, err), 2);
+    EXPECT_NE(err.str().find("unknown subcommand 'cluster'"),
+              std::string::npos)
+        << err.str();
+  }
+  // Each removed flag's name and a command line that used to take it.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> removed =
+      {
+          {{"sweep", "--families", "torus"}, "cluster"},
+          {{"client", "--socket", "s"}, "cluster"},
+          {{"loadgen", "--endpoint", "e"}, "cluster"},
+          {{"metrics", "--endpoint", "e"}, "cluster"},
+          {{"top", "--endpoint", "e"}, "cluster"},
+          {{"metrics", "--endpoint", "e"}, "per-shard"},
+          {{"top", "--endpoint", "e"}, "per-shard"},
+          {{"loadgen", "--endpoint", "e"}, "replicas"},
+      };
+  const std::string usage = usage_text();
+  for (auto [args, name] : removed) {
+    const std::string flag = "--" + name;
+    args.push_back(flag);
+    args.push_back("1");
+    std::ostringstream out, err;
+    EXPECT_EQ(cli_main(args, out, err), 2) << args[0] << " " << flag;
+    EXPECT_NE(err.str().find("unknown flag '" + flag + "' for '" + args[0] +
+                             "'"),
+              std::string::npos)
+        << err.str();
+    EXPECT_EQ(usage.find(flag), std::string::npos) << flag;
+  }
+  EXPECT_EQ(usage.find("dtopctl cluster"), std::string::npos);
+  EXPECT_NE(usage.find("--permute"), std::string::npos);
 }
 
 }  // namespace

@@ -1,32 +1,19 @@
-// The dtopd `metrics` op and its cluster aggregation: the request-counting
-// invariant (requests_total == sum of per-op served + rejected), per-daemon
-// delta windows, the determinism contract (interleaved scrapes never
-// perturb the byte-identity of other responses across worker counts), and
-// the dispatcher fan-out (aggregate is single-daemon-shaped; the per-shard
-// breakdown appears only behind the "per_shard" flag).
+// The dtopd `metrics` op: the request-counting invariant (requests_total ==
+// sum of per-op served + rejected), per-daemon delta windows, and the
+// determinism contract (interleaved scrapes never perturb the byte-identity
+// of other responses across worker counts).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "obs/registry.hpp"
-#include "service/dispatcher.hpp"
 #include "service/json.hpp"
 #include "service/metrics_wire.hpp"
-#include "service/server.hpp"
 #include "service/service.hpp"
 
 namespace dtop::service {
 namespace {
-
-using namespace std::chrono_literals;
 
 std::string determine_line(const std::string& family, NodeId nodes,
                            std::uint64_t seed = 1) {
@@ -175,150 +162,6 @@ TEST(ServiceMetrics, ScrapesNeverPerturbByteIdentityAcrossWorkerCounts) {
   // The stats response is part of the deterministic transcript even though
   // seven metrics scrapes ran before it.
   EXPECT_NE(one.back().find("\"hits\": 1"), std::string::npos);
-}
-
-// --------------------------- cluster fan-out ------------------------------
-
-std::string socket_path(const std::string& name) {
-  return ::testing::TempDir() + "dtop_metrics_" + name + ".sock";
-}
-
-// Two dtopd shards in-process, each a Server on its own thread (the
-// test_cluster.cpp harness, trimmed to what the fan-out tests need).
-class InProcessCluster {
- public:
-  explicit InProcessCluster(std::vector<std::string> paths) {
-    for (const std::string& path : paths) {
-      ::unlink(path.c_str());
-      auto shard = std::make_unique<Shard>();
-      ServerOptions opt;
-      opt.socket_path = path;
-      opt.service.workers = 2;
-      opt.quiet = true;
-      opt.stop = &shard->stop;
-      shard->server = std::make_unique<Server>(opt);
-      shard->thread =
-          std::thread([s = shard.get()] { s->server->serve(s->log); });
-      shards_.push_back(std::move(shard));
-    }
-    for (const std::string& path : paths) {
-      for (int i = 0; i < 5000; ++i) {
-        try {
-          ClientChannel probe(path);
-          break;
-        } catch (const Error&) {
-          std::this_thread::sleep_for(1ms);
-        }
-      }
-    }
-  }
-
-  ~InProcessCluster() {
-    for (auto& shard : shards_) shard->stop.store(true);
-    for (auto& shard : shards_) {
-      if (shard->thread.joinable()) shard->thread.join();
-    }
-  }
-
- private:
-  struct Shard {
-    std::unique_ptr<Server> server;
-    std::thread thread;
-    std::atomic<bool> stop{false};
-    std::ostringstream log;
-  };
-  std::vector<std::unique_ptr<Shard>> shards_;
-};
-
-TEST(DispatcherMetrics, FanOutAggregatesEveryShard) {
-  const std::vector<std::string> paths = {socket_path("fan0"),
-                                          socket_path("fan1")};
-  if (paths[1].size() >= 100) GTEST_SKIP() << "TempDir too long";
-  InProcessCluster cluster(paths);
-  DispatcherOptions dopt;
-  dopt.sockets = paths;
-  Dispatcher d(dopt);
-
-  const std::vector<std::string> lines = {
-      determine_line("torus", 9),  determine_line("debruijn", 16),
-      determine_line("dering", 8), determine_line("kautz", 12),
-      determine_line("torus", 9),
-  };
-  for (const std::string& line : lines) {
-    EXPECT_NE(d.call(line).find("\"ok\": true"), std::string::npos);
-  }
-
-  const std::string line = d.call(R"({"op": "metrics", "id": 7})");
-  // Single-daemon-shaped: same field skeleton a lone dtopd emits, and no
-  // per-shard breakdown without the flag.
-  EXPECT_NE(line.find("\"id\": 7"), std::string::npos);
-  EXPECT_NE(line.find("\"op\": \"metrics\""), std::string::npos);
-  EXPECT_NE(line.find("\"ok\": true"), std::string::npos);
-  EXPECT_EQ(line.find("\"shards\""), std::string::npos);
-
-  const obs::Snapshot s = parse_snapshot_response(line);
-  // Counters summed across both shards: 5 routed determines, 4 engine
-  // executions (the repeat hit its shard's cache), one metrics scrape per
-  // shard from this very fan-out.
-  EXPECT_EQ(s.counter_or("service_determine_served_total"), 5u);
-  EXPECT_EQ(s.counter_or("cache_executions_total"), 4u);
-  EXPECT_EQ(s.counter_or("cache_hits_total"), 1u);
-  EXPECT_EQ(s.counter_or("service_metrics_served_total"), 2u);
-  // The invariant survives aggregation (it holds per shard and the
-  // fan-out sums both sides of the equation).
-  EXPECT_EQ(s.counter_or("service_requests_total"),
-            served_sum(s) + s.counter_or("service_rejected_total"));
-  // Histograms merged, not concatenated as text: the per-op latency
-  // histogram holds every routed determine.
-  const auto* lat = s.find_histogram("service_determine_latency_us");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_EQ(lat->hist.count(), 5u);
-}
-
-TEST(DispatcherMetrics, PerShardFlagAddsTheBreakdown) {
-  const std::vector<std::string> paths = {socket_path("ps0"),
-                                          socket_path("ps1")};
-  if (paths[1].size() >= 100) GTEST_SKIP() << "TempDir too long";
-  InProcessCluster cluster(paths);
-  DispatcherOptions dopt;
-  dopt.sockets = paths;
-  Dispatcher d(dopt);
-
-  d.call(determine_line("torus", 9));
-  const std::string line =
-      d.call(R"({"op": "metrics", "per_shard": true})");
-  EXPECT_NE(line.find("\"shards\": ["), std::string::npos);
-
-  // One row per endpoint, each a flat-shaped metrics object of its own.
-  std::size_t rows = 0;
-  for (std::size_t at = line.find("\"endpoint\":"); at != std::string::npos;
-       at = line.find("\"endpoint\":", at + 1)) {
-    ++rows;
-  }
-  EXPECT_EQ(rows, paths.size());
-  for (const std::string& path : paths) {
-    EXPECT_NE(line.find(path), std::string::npos);
-  }
-
-  // The aggregate section equals the sum of the rows (same instant, same
-  // response line): spot-check the request counter.
-  const obs::Snapshot total = parse_snapshot_response(line);
-  std::uint64_t shard_requests = 0;
-  std::size_t open = line.find('{', line.find("\"shards\": ["));
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    const std::string obj = balanced_object(line, open);
-    shard_requests +=
-        parse_snapshot_response(obj).counter_or("service_requests_total");
-    open = line.find('{', open + obj.size());
-  }
-  EXPECT_EQ(total.counter_or("service_requests_total"), shard_requests);
-
-  // `stats` honours the same flag with the same row shape.
-  const std::string stats =
-      d.call(R"({"op": "stats", "per_shard": true})");
-  EXPECT_NE(stats.find("\"shards\": ["), std::string::npos);
-  const std::string stats_plain = d.call(R"({"op": "stats"})");
-  EXPECT_EQ(stats_plain.find("\"shards\""), std::string::npos);
 }
 
 }  // namespace

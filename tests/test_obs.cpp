@@ -1,6 +1,6 @@
 // Unit tests for src/obs: the log-linear histogram's bucket math and
-// quantile error bound, the shard-merge exactness law, snapshot algebra
-// (merge / delta), wire encoding, exposition, and a concurrent recording
+// quantile error bound, the shard-merge exactness law, snapshot delta
+// windows, wire encoding, exposition, and a concurrent recording
 // stress (run under the TSan CI job — the lock-free recording paths are
 // exactly what it audits).
 #include <gtest/gtest.h>
@@ -202,35 +202,30 @@ TEST(Registry, SnapshotIsNameSorted) {
   EXPECT_EQ(s.counters[1].name, "zeta_total");
 }
 
-TEST(Snapshot, MergeSumsAndDeltaSubtracts) {
-  Snapshot a, b;
-  a.add_counter("c", 5);
-  b.add_counter("c", 7);
-  b.add_counter("only_b", 1);
-  a.set_gauge("g", 2);
-  b.set_gauge("g", 3);
+TEST(Snapshot, DeltaSubtractsCountersAndHistograms) {
+  Snapshot before, after;
+  before.add_counter("c", 5);
+  after.add_counter("c", 12);
+  after.add_counter("only_after", 1);
+  before.set_gauge("g", 2);
+  after.set_gauge("g", 5);
   Histogram h1, h2;
   h1.record(10);
   h2.record(20);
-  a.merge_histogram("h", h1);
-  b.merge_histogram("h", h2);
+  before.merge_histogram("h", h1);
+  after.merge_histogram("h", h1);
+  after.merge_histogram("h", h2);
+  EXPECT_EQ(after.find_histogram("h")->hist.count(), 2u);
 
-  Snapshot sum = a;
-  sum.merge(b);
-  EXPECT_EQ(sum.counter_or("c"), 12u);
-  EXPECT_EQ(sum.counter_or("only_b"), 1u);
-  EXPECT_EQ(sum.find_gauge("g")->value, 5);  // gauges sum across shards
-  EXPECT_EQ(sum.find_histogram("h")->hist.count(), 2u);
-
-  const Snapshot d = sum.delta_since(a);
+  const Snapshot d = after.delta_since(before);
   EXPECT_EQ(d.counter_or("c"), 7u);
-  EXPECT_EQ(d.counter_or("only_b"), 1u);
+  EXPECT_EQ(d.counter_or("only_after"), 1u);
   EXPECT_EQ(d.find_histogram("h")->hist.count(), 1u);
   EXPECT_EQ(d.find_gauge("g")->value, 5);  // instantaneous: passes through
 
   Snapshot backwards;
   backwards.add_counter("c", 1);
-  EXPECT_THROW(backwards.delta_since(sum), Error);
+  EXPECT_THROW(backwards.delta_since(after), Error);
 }
 
 TEST(Registry, ConcurrentRecordingStress) {

@@ -116,7 +116,6 @@ TEST(ResultCache, HitMissCountersAndLookup) {
   EXPECT_EQ(b->map_text, "a");
   // A hit shares the stored entry; it does not copy it.
   EXPECT_EQ(a.get(), b.get());
-  EXPECT_EQ(cache.peek(key).get(), a.get());
 
   const CacheStats s = cache.stats();
   EXPECT_EQ(s.hits, 1u);
@@ -124,7 +123,7 @@ TEST(ResultCache, HitMissCountersAndLookup) {
   EXPECT_EQ(s.executions, 1u);
   EXPECT_EQ(s.inserts, 1u);
   EXPECT_EQ(s.size, 1u);
-  EXPECT_TRUE(cache.lookup(key));
+  EXPECT_EQ(cache.lookup(key).get(), a.get());
   EXPECT_FALSE(cache.lookup(CacheKey{0x9999, "ratio3"}));
 }
 
@@ -342,7 +341,8 @@ std::string determine_line(const std::string& family, NodeId nodes,
 
 // One scripted session per worker count: a batch of distinct requests
 // submitted together (exercises the queue), then a sequential tail with a
-// repeat and a stats call (exercises cache-state-dependent fields).
+// repeat, a relabelled inline twin and a stats call (exercises
+// cache-state-dependent fields).
 std::vector<std::string> session_transcript(int workers) {
   ServiceOptions opt;
   opt.workers = workers;
@@ -359,6 +359,19 @@ std::vector<std::string> session_transcript(int workers) {
   std::vector<std::string> transcript;
   for (const std::uint64_t t : tickets) transcript.push_back(svc.wait(t));
   transcript.push_back(svc.call(determine_line("torus", 9)));  // repeat: hit
+  {
+    // debruijn-16 relabelled, as an inline graph: a hit on the same entry.
+    const FamilyInstance fi = make_family("debruijn", 16, 1);
+    std::vector<NodeId> mapping;
+    const PortGraph permuted = permute_nodes_random(fi.graph, 7, &mapping);
+    JsonWriter w;
+    transcript.push_back(
+        svc.call(w.field("op", "determine")
+                     .field("graph", graph_to_string(permuted))
+                     .field("root", static_cast<std::uint64_t>(mapping[0]))
+                     .field("include_map", false)
+                     .str()));
+  }
   transcript.push_back(svc.call(R"({"op": "stats", "id": "s1"})"));
   // A pipelined batch of one connection: hits answered at submit, a miss,
   // and hits queued behind it.
@@ -385,11 +398,13 @@ TEST(ServiceDeterminism, ResponsesByteIdenticalAt1And8Workers) {
   for (std::size_t i = 0; i < one.size(); ++i) {
     EXPECT_EQ(one[i], eight[i]) << "response " << i;
   }
-  // Spot-check the cache-state-dependent tail: the repeat is a hit and the
-  // stats line saw exactly one hit and six executions.
+  // Spot-check the cache-state-dependent tail: the repeat and the
+  // relabelled twin are hits and the stats line saw exactly two hits and
+  // six executions.
   EXPECT_NE(one[6].find("\"cache\": \"hit\""), std::string::npos);
-  EXPECT_NE(one[7].find("\"hits\": 1"), std::string::npos);
-  EXPECT_NE(one[7].find("\"executions\": 6"), std::string::npos);
+  EXPECT_NE(one[7].find("\"cache\": \"hit\""), std::string::npos);
+  EXPECT_NE(one[8].find("\"hits\": 2"), std::string::npos);
+  EXPECT_NE(one[8].find("\"executions\": 6"), std::string::npos);
 }
 
 // ------------------------- service: cache behaviour -----------------------
@@ -620,6 +635,11 @@ TEST(ServiceSubmit, RequestsTotalEqualsServedPlusRejected) {
   Service svc(opt);
   svc.call(determine_line("torus", 9));
   svc.call(determine_line("dering", 8));
+  // The one-host cluster's entry-copying ops are gone: unknown ops now.
+  std::vector<std::string> removed_ops;
+  for (const char* verb : {"get", "put"}) {
+    removed_ops.push_back(std::string("cache_") + verb);
+  }
   // A pipelined batch: hits answered at submit, hits queued behind a
   // predecessor, a miss, errors of every kind, and other ops.
   const std::vector<std::string> batch = {
@@ -632,6 +652,9 @@ TEST(ServiceSubmit, RequestsTotalEqualsServedPlusRejected) {
       R"({"op": "frobnicate"})",
       R"({"op": "determine", "family": "torus", "nodes": 9, "root": 99})",
       R"({"op": "determine", "family": "torus", "nodes": 9, "config": "x"})",
+      R"({"op": ")" + removed_ops[0] + R"(", "key": "0000000000000001"})",
+      R"({"op": ")" + removed_ops[1] +
+          R"(", "key": "0000000000000001", "map": "x"})",
       determine_line("dering", 8),
   };
   std::vector<std::uint64_t> tickets;
@@ -640,7 +663,19 @@ TEST(ServiceSubmit, RequestsTotalEqualsServedPlusRejected) {
     last = svc.submit(line, last);
     tickets.push_back(last);
   }
-  for (const std::uint64_t t : tickets) (void)svc.wait(t);
+  std::vector<std::string> responses;
+  for (const std::uint64_t t : tickets) responses.push_back(svc.wait(t));
+  for (std::size_t k = 0; k < removed_ops.size(); ++k) {
+    const std::string& op = removed_ops[k];
+    EXPECT_EQ(responses[batch.size() - 3 + k],
+              R"({"op": ")" + op +
+                  R"(", "ok": false, "error": "unknown op \")" + op +
+                  R"j(\" (known: determine verify sweep stats metrics )j"
+                  R"j(shutdown)"})j");
+  }
+  // The request behind them still answers.
+  EXPECT_NE(responses.back().find("\"cache\": \"hit\""), std::string::npos)
+      << responses.back();
   for (int i = 0; i < 5; ++i) svc.call(determine_line("kautz", 12));
 
   const obs::Snapshot s =
@@ -651,7 +686,8 @@ TEST(ServiceSubmit, RequestsTotalEqualsServedPlusRejected) {
                            "_served_total");
   }
   const std::uint64_t rejected = s.counter_or("service_rejected_total");
-  EXPECT_EQ(rejected, 2u);
+  EXPECT_EQ(rejected, 4u);
+  EXPECT_EQ(s.counter_or("service_errors_served_total"), 6u);
   EXPECT_EQ(s.counter_or("service_requests_total"),
             2 + batch.size() + 5 + 1);
   EXPECT_EQ(s.counter_or("service_requests_total"), served + rejected);

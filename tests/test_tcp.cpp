@@ -3,14 +3,13 @@
 // daemon) a Unix socket. The acceptance contract mirrors test_service.cpp's
 // transport suite, re-run over TCP, plus the properties TCP adds: endpoint
 // grammar, byte-identical responses across transports for the same request
-// stream, port-collision and connection-refused diagnostics, and — on top
-// of the persistent cache tier — dispatcher ring replication keeping
-// answers warm across a shard loss, and a restarted daemon warm-starting
-// its cache from the store.
+// stream, port-collision and connection-refused diagnostics, and a
+// restarted daemon warm-starting its cache from the persistent store.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -18,7 +17,6 @@
 
 #include <unistd.h>
 
-#include "service/dispatcher.hpp"
 #include "service/endpoint.hpp"
 #include "service/json.hpp"
 #include "service/server.hpp"
@@ -284,61 +282,6 @@ TEST(ServerTcp, ConnectionRefusedNamesTheEndpoint) {
     EXPECT_EQ(std::string(e.what()),
               "connection refused: is dtopd running at " + no_sock + "?");
   }
-}
-
-// ------------------ replication: losing a shard, not answers --------------
-
-TEST(DispatcherTcp, ReplicationServesCachedAnswersAfterShardLoss) {
-  // Two TCP shards behind the dispatcher with replicas=1: every fresh
-  // determination is copied to the owner's ring successor. Killing the
-  // owner must cost capacity only — the re-asked question fails over and
-  // is answered from the successor's (replicated) cache, not recomputed.
-  auto a = std::make_unique<TcpDaemon>();
-  auto b = std::make_unique<TcpDaemon>();
-
-  DispatcherOptions dopt;
-  dopt.sockets = {a->endpoint(), b->endpoint()};
-  dopt.replicas = 1;
-  Dispatcher dispatcher(dopt);
-
-  // Seed several topologies so both shards own some keys (include_map off:
-  // the replication worker must fetch each map back via cache_get).
-  const std::vector<std::pair<std::string, NodeId>> catalog = {
-      {"torus", 9}, {"debruijn", 16}, {"dering", 8},
-      {"kautz", 12}, {"treeloop", 15}};
-  std::size_t owned_by_a = 0;
-  for (const auto& [family, nodes] : catalog) {
-    const std::string line = determine_line(family, nodes);
-    if (dispatcher.owner_of(dispatcher.shard_key(line)) == 0) ++owned_by_a;
-    const std::string resp = dispatcher.call(line);
-    ASSERT_NE(resp.find("\"ok\": true"), std::string::npos) << resp;
-    EXPECT_NE(resp.find("\"cache\": \"miss\""), std::string::npos) << resp;
-  }
-  dispatcher.drain_replication();
-  EXPECT_EQ(dispatcher.stats().replications, catalog.size());
-
-  // Kill shard A (abrupt stop: in-flight state is gone, like SIGKILL).
-  a->stop();
-  a.reset();
-
-  // Every repeat must be a HIT: keys B owned hit B's own cache; keys A
-  // owned fail over to B and hit the replica.
-  for (const auto& [family, nodes] : catalog) {
-    const std::string resp = dispatcher.call(determine_line(family, nodes));
-    ASSERT_NE(resp.find("\"ok\": true"), std::string::npos) << resp;
-    EXPECT_NE(resp.find("\"cache\": \"hit\""), std::string::npos)
-        << family << ": " << resp;
-  }
-  // The ring hashes the (port-randomized) endpoint strings, so the split
-  // varies per run; every key A did own must have failed over.
-  EXPECT_GE(dispatcher.stats().failovers, owned_by_a);
-}
-
-TEST(DispatcherTcp, ReplicasDefaultOffLeavesCountersSingleDaemonShaped) {
-  // The byte-identity contract of the unreplicated cluster (test_cluster
-  // asserts aggregate stats equal a single daemon's) relies on replication
-  // being opt-in. Guard the default.
-  EXPECT_EQ(DispatcherOptions{}.replicas, 0);
 }
 
 // ------------------------ warm start from the store -----------------------
