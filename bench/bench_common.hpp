@@ -1,8 +1,10 @@
-// Shared helpers for the experiment harness. Each bench binary regenerates
-// one experiment from EXPERIMENTS.md: it prints the paper-style table on
-// stdout and (where useful) registers google-benchmark timings. The tables
-// are computed from *model time* (global clock ticks), which is exact and
-// machine-independent; google-benchmark covers wall-clock throughput.
+// Shared helpers for the experiment harness. Each bench binary is a plain
+// executable that takes no arguments and regenerates one experiment from
+// EXPERIMENTS.md: it prints the paper-style tables on stdout and writes them
+// as BENCH_<exp>.json. The tables are computed from *model time* (global
+// clock ticks), which is exact and machine-independent; only E10 also
+// reports wall-clock columns. The `oracle` ctest runs every bench in quick
+// mode and diffs its JSON against bench/baselines at tolerance 0.
 #pragma once
 
 #include <cstdint>
@@ -12,11 +14,14 @@
 #include "core/gtd.hpp"
 #include "graph/analysis.hpp"
 #include "graph/families.hpp"
+#include "runner/emit.hpp"
 #include "runner/runner.hpp"
 #include "support/table.hpp"
 #include "trace/span_collector.hpp"
 
 namespace dtop::bench {
+
+using runner::BenchJson;
 
 // Runs the protocol and returns the result together with the ground-truth
 // quantities the tables report. Aborts loudly if the run is not exact —
@@ -43,30 +48,15 @@ std::vector<runner::JobResult> run_family_sweep(
     const std::vector<std::string>& families, const std::vector<NodeId>& sizes,
     std::uint64_t seed = 1);
 
-// Standard size sweep used by several experiments. Honors the
-// DTOP_BENCH_QUICK environment variable (any non-empty value): CI sets it
-// to trim the sweep so the JSON artifacts stay cheap to regenerate.
+// True when DTOP_BENCH_QUICK is set to a non-empty value: the benches then
+// run their trimmed sweeps, which bench/baselines and the oracle use.
+bool quick_mode();
+
+// Standard size sweep used by several experiments, trimmed in quick_mode().
 std::vector<NodeId> default_sizes();
 
-// Machine-readable companion to the printed tables: accumulates an
-// experiment's tables and writes them as BENCH_<exp>.json — the same
-// model-time numbers as the human tables (numeric cells emitted as JSON
-// numbers) plus an "env" block (compiler, build type, hardware threads).
-// The file lands in $DTOP_BENCH_JSON_DIR if set, else the working
-// directory; CI uploads the files as artifacts, giving every experiment a
-// perf trajectory over time.
-class BenchJson {
- public:
-  explicit BenchJson(std::string exp);  // e.g. "E1"
-
-  void add(const std::string& name, const Table& table);
-
-  // Writes BENCH_<exp>.json and prints the path to `diag`.
-  void write(std::ostream& diag) const;
-
- private:
-  std::string exp_;
-  std::vector<std::pair<std::string, Table>> tables_;
-};
+// Writes the experiment's BENCH_<exp>.json into $DTOP_BENCH_JSON_DIR (the
+// working directory when unset), labelled with quick_mode().
+void write_tables(const runner::BenchJson& json);
 
 }  // namespace dtop::bench

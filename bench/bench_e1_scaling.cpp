@@ -5,8 +5,6 @@
 // the ratio T/(N*D); the ratio staying bounded (and roughly flat per
 // family) across the sweep is the paper's claim. A power-law fit of T
 // against N*D is printed per family.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <map>
 
@@ -118,27 +116,12 @@ void print_table() {
 
   std::cout << "\n";
   print_model_time_table(json);
-  json.write(std::cout);
+  write_tables(json);
 }
-
-// Wall-clock timing of a representative protocol run.
-void BM_GtdDeBruijn(benchmark::State& state) {
-  const PortGraph g = de_bruijn(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    GtdResult r = run_gtd(g, 0);
-    benchmark::DoNotOptimize(r.stats.ticks);
-  }
-  state.counters["model_ticks"] = static_cast<double>(
-      run_gtd(g, 0).stats.ticks);
-  state.counters["N"] = g.num_nodes();
-}
-BENCHMARK(BM_GtdDeBruijn)->Arg(3)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

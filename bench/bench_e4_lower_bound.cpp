@@ -11,8 +11,6 @@
 // stay bounded as N grows — that is the paper's "asymptotically
 // time-optimal for many large networks". We also print N log2 N columns to
 // exhibit both curves' shape.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -85,23 +83,12 @@ void print_table() {
   }
   extrap.print(std::cout);
   json.add("extrapolation", extrap);
-  json.write(std::cout);
+  write_tables(json);
 }
-
-void BM_TreeLoopProtocol(benchmark::State& state) {
-  const PortGraph g = tree_loop_random(static_cast<int>(state.range(0)), 1);
-  for (auto _ : state) {
-    GtdResult r = run_gtd(g, 0);
-    benchmark::DoNotOptimize(r.stats.ticks);
-  }
-}
-BENCHMARK(BM_TreeLoopProtocol)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -9,8 +9,6 @@
 // the GTD protocol pays a factor ~N for using identical constant-memory
 // processors — and it is the only one of the three that works in that
 // model at all.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "baseline/baseline.hpp"
@@ -65,35 +63,15 @@ void print_table() {
   table.print(std::cout);
   BenchJson json("E7");
   json.add("baselines", table);
-  json.write(std::cout);
+  write_tables(json);
   std::cout << "\nThe GTD/ideal factor grows ~linearly in N (O(N*D) vs "
                "O(D)): exactly the cost the paper accepts for anonymous "
                "finite-state processors on arbitrary directed networks.\n";
 }
 
-void BM_LinkState(benchmark::State& state) {
-  const PortGraph g = de_bruijn(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    BaselineResult r = run_link_state(g, 0);
-    benchmark::DoNotOptimize(r.completion_tick);
-  }
-}
-BENCHMARK(BM_LinkState)->Arg(5)->Arg(7)->Unit(benchmark::kMillisecond);
-
-void BM_IdealGather(benchmark::State& state) {
-  const PortGraph g = de_bruijn(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    BaselineResult r = run_ideal_gather(g, 0);
-    benchmark::DoNotOptimize(r.completion_tick);
-  }
-}
-BENCHMARK(BM_IdealGather)->Arg(5)->Arg(7)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

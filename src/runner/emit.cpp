@@ -1,7 +1,11 @@
 #include "runner/emit.hpp"
 
 #include <cstdio>
-#include <ostream>
+#include <cstdlib>
+#include <fstream>
+#include <thread>
+
+#include "support/error.hpp"
 
 namespace dtop::runner {
 namespace {
@@ -32,6 +36,21 @@ std::string csv_quote(const std::string& s) {
   }
   out += "\"";
   return out;
+}
+
+// A BENCH table cell that fully parses as a double is emitted as a JSON
+// number; anything else is an escaped string. The tables format numbers with
+// std::to_string / format_double, both of which round-trip through strtod.
+void write_bench_cell(std::ostream& os, const std::string& cell) {
+  if (!cell.empty()) {
+    char* end = nullptr;
+    (void)std::strtod(cell.c_str(), &end);
+    if (end == cell.c_str() + cell.size()) {
+      os << cell;
+      return;
+    }
+  }
+  os << '"' << json_escape(cell) << '"';
 }
 
 }  // namespace
@@ -146,6 +165,45 @@ void write_csv(std::ostream& os, const CampaignResult& result,
     if (opt.timing) os << ',' << format_ms(j.wall_ms);
     os << ',' << csv_quote(j.detail) << '\n';
   }
+}
+
+void BenchJson::write(const std::string& dir, bool quick,
+                      std::ostream& diag) const {
+  const std::string path =
+      (dir.empty() ? std::string() : dir + "/") + "BENCH_" + exp_ + ".json";
+  std::ofstream os(path);
+  if (!os.is_open()) throw Error("cannot open " + path + " for writing");
+
+  os << "{\n  \"experiment\": \"" << json_escape(exp_) << "\",\n"
+     << "  \"env\": {\"compiler\": \"" << json_escape(__VERSION__)
+     << "\", \"build\": \""
+#ifdef NDEBUG
+     << "release"
+#else
+     << "debug"
+#endif
+     << "\", \"hardware_threads\": " << std::thread::hardware_concurrency()
+     << ", \"quick\": " << (quick ? "true" : "false") << "},\n"
+     << "  \"tables\": {";
+  for (std::size_t t = 0; t < tables_.size(); ++t) {
+    const auto& [name, table] = tables_[t];
+    os << (t ? ",\n    \"" : "\n    \"") << json_escape(name)
+       << "\": {\"caption\": \"" << json_escape(table.caption())
+       << "\",\n     \"columns\": ";
+    write_json_list(os, table.header(), [&](const std::string& h) {
+      os << '"' << json_escape(h) << '"';
+    });
+    os << ",\n     \"rows\": [";
+    const auto& rows = table.rows();
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      os << (r ? ",\n       " : "\n       ");
+      write_json_list(os, rows[r],
+                      [&](const std::string& c) { write_bench_cell(os, c); });
+    }
+    os << (rows.empty() ? "]}" : "\n     ]}");
+  }
+  os << (tables_.empty() ? "}\n}\n" : "\n  }\n}\n");
+  diag << "Machine-readable table written to " << path << "\n";
 }
 
 }  // namespace dtop::runner
